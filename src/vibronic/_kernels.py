@@ -1,97 +1,31 @@
-"""Hot numerical kernels with a numba fast path and a pure-numpy fallback.
+"""Sparse midpoint stepper for a two-tone drive that stays time dependent.
 
-The only loop in the package that runs for ~10^5-10^6 iterations is the
-fixed-step midpoint propagator for the explicitly time-dependent two-beam
-drive.  Its Hamiltonian is extremely sparse (a few entries per row), so the
-kernel works on a COO layout whose entries carry a "phase group" tag
-selecting which of the four oscillating coefficients
+With a tone on a sideband (k + k' > 0) the drive is static in a rotating
+frame and dynamics.BichromaticAction solves it exactly.  With both tones on
+the carrier (k = k' = 0) no such frame exists in general, and
+dynamics.propagate_bichromatic steps the drive here.  Its Hamiltonian is
+extremely sparse (a few entries per row), so it is held in COO form whose
+entries carry a "phase group" tag selecting which of the four oscillating
+coefficients
 
     e^{+i delta t},  e^{-i delta' t},  e^{-i delta t},  e^{+i delta' t}
 
 multiplies them at a given midpoint time.  Each step applies
 exp(-i H(t_mid) dt) through an adaptive Taylor series (dt * ||H|| is tiny
 here, so a handful of sparse matvecs reaches machine precision).
-
-Backend selection: numba when importable, unless the environment variable
-``VIBRONIC_FORCE_NUMPY=1`` forces the numpy path.  Both implementations are
-exposed for benchmarking regardless of the flag.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-FORCE_NUMPY = os.environ.get("VIBRONIC_FORCE_NUMPY", "").strip() in ("1", "true", "yes")
 
 MAX_TAYLOR_TERMS = 40
 
 
-def default_backend() -> str:
-    """Backend chosen by import-time environment: 'numba' or 'numpy'."""
-    return "numba" if (HAVE_NUMBA and not FORCE_NUMPY) else "numpy"
-
-
-@njit(cache=True)
-def _propagate_coo_numba(rows, cols, vals, groups, delta, delta_p, psi, dt, n_steps, m_sub, tol):  # pragma: no cover - numba path measured via dispatch tests
+def propagate_coo(rows, cols, vals, groups, delta, delta_p, psi, dt, n_steps, m_sub, tol=1e-15):
+    """psi after n_steps midpoint steps of length dt, each applied as m_sub Taylor sub-steps."""
     d = psi.shape[0]
-    nnz = rows.shape[0]
-    out = psi.copy()
-    term = np.empty(d, np.complex128)
-    tmp = np.empty(d, np.complex128)
-    coefs = np.empty(4, np.complex128)
-    dtau = dt / m_sub
-    for s in range(n_steps):
-        tm = (s + 0.5) * dt
-        coefs[0] = np.exp(1j * delta * tm)
-        coefs[1] = np.exp(-1j * delta_p * tm)
-        coefs[2] = np.conj(coefs[0])
-        coefs[3] = np.conj(coefs[1])
-        for _ in range(m_sub):
-            ref = 0.0
-            for i in range(d):
-                term[i] = out[i]
-                ref += out[i].real ** 2 + out[i].imag ** 2
-            thresh = tol * tol * ref
-            j = 0
-            while True:
-                j += 1
-                for i in range(d):
-                    tmp[i] = 0.0
-                for e in range(nnz):
-                    tmp[rows[e]] += vals[e] * coefs[groups[e]] * term[cols[e]]
-                f = -1j * dtau / j
-                nrm = 0.0
-                for i in range(d):
-                    term[i] = f * tmp[i]
-                    out[i] += term[i]
-                    nrm += term[i].real ** 2 + term[i].imag ** 2
-                if nrm <= thresh or j >= MAX_TAYLOR_TERMS:
-                    break
-    return out
-
-
-def _propagate_coo_numpy(rows, cols, vals, groups, delta, delta_p, psi, dt, n_steps, m_sub, tol):
-    d = psi.shape[0]
-    out = psi.copy()
+    out = np.array(psi, dtype=np.complex128)
     dtau = dt / m_sub
     for s in range(n_steps):
         tm = (s + 0.5) * dt
@@ -119,30 +53,3 @@ def _propagate_coo_numpy(rows, cols, vals, groups, delta, delta_p, psi, dt, n_st
                 if float(np.real(np.vdot(term, term))) <= thresh or j >= MAX_TAYLOR_TERMS:
                     break
     return out
-
-
-def propagate_coo(rows, cols, vals, groups, delta, delta_p, psi, dt, n_steps, m_sub, tol=1e-15, backend=None):
-    """Run the midpoint COO propagator on the selected backend."""
-    if backend is None:
-        backend = default_backend()
-    if backend == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        fn = _propagate_coo_numba
-    elif backend == "numpy":
-        fn = _propagate_coo_numpy
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return fn(
-        np.ascontiguousarray(rows, dtype=np.int64),
-        np.ascontiguousarray(cols, dtype=np.int64),
-        np.ascontiguousarray(vals, dtype=np.complex128),
-        np.ascontiguousarray(groups, dtype=np.int64),
-        float(delta),
-        float(delta_p),
-        np.ascontiguousarray(psi, dtype=np.complex128),
-        float(dt),
-        int(n_steps),
-        int(m_sub),
-        float(tol),
-    )

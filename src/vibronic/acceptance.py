@@ -216,7 +216,7 @@ def check_bell_exact(budget_s: float = 60.0) -> AcceptanceResult:
     for mult in (1, 2):
         delta = delta0 * mult
         p = BichromaticParams.symmetric(k=1, delta=delta, omega=omega, modes=modes)
-        _, fid, seq = make_phi(1, p, config, engine="exact", dt_max=0.05)
+        _, fid, seq = make_phi(1, p, config, engine="exact")
         infid[mult] = 1.0 - fid
         # leading-order population left in the bright singly excited state
         t = seq.pulses[0].duration

@@ -129,8 +129,9 @@ def run_sequence(
     """Apply the pulses of ``seq`` in order to ``state``.
 
     engine "effective" evolves dispersive pulses under the eliminated
-    generator (exact within that model); "exact" integrates the full
-    time-dependent two-beam drive.  Carrier pulses are always exact.
+    generator (exact within that model); "exact" propagates the full
+    time-dependent two-beam drive (propagate_bichromatic; dt_max matters
+    only for a k = k' = 0 drive).  Carrier pulses are always exact.
     """
     if engine not in ("effective", "exact"):
         raise ValueError(f"unknown engine {engine!r}")

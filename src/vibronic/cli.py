@@ -25,6 +25,7 @@ Exit codes: 0 success, 2 config error, 3 numerical/diagnostic failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -36,8 +37,8 @@ from .bellgen import carrier_phase_for, make_phi, make_psi
 from .dynamics import (
     BichromaticParams,
     CarrierParams,
+    HermitianPropagator,
     propagate_bichromatic,
-    propagate_const,
     build_effective_H,
     rabi_spectrum,
     resonance_guard,
@@ -162,6 +163,8 @@ class _Reader:
             except ValueError:
                 kind = "an integer" if integer else "a number"
                 raise ConfigError(f"'{path}' must be {kind}, got {entry.value!r}{where}") from None
+            if not math.isfinite(value):
+                raise ConfigError(f"'{path}' must be finite, got {entry.value!r}{where}")
         if lo is not None and value < lo:
             raise ConfigError(f"'{path}' must be >= {lo}, got {value}{where}")
         if hi is not None and value > hi:
@@ -202,9 +205,12 @@ class _Reader:
                     f"'{path}' expects groups of {arity} numbers, got {chunk!r} (line {entry.line})"
                 )
             try:
-                groups.append(tuple(float(p) for p in parts))
+                group = tuple(float(p) for p in parts)
             except ValueError:
                 raise ConfigError(f"'{path}' has a non-numeric entry in {chunk!r} (line {entry.line})") from None
+            if not all(math.isfinite(x) for x in group):
+                raise ConfigError(f"'{path}' has a non-finite entry in {chunk!r} (line {entry.line})")
+            groups.append(group)
         if not groups:
             raise ConfigError(f"'{path}' is empty (line {entry.line})")
         self._note(path, entry.value)
@@ -270,8 +276,10 @@ def parse_config(text: str, seed_override: int | None = None, threads_override: 
         reader.reject_unknown()
         return RunConfig(mode=mode, seed=int(seed), threads=int(threads), echo=tuple(reader.echo))
 
-    n_max_c = reader.number("hilbert.n_max_c", lo=1, hi=40, integer=True, required=True)
-    n_max_r = reader.number("hilbert.n_max_r", lo=1, hi=40, integer=True, required=True)
+    # a fit grid n_fit >= 0 needs n_fit <= n_max - 2, the rule protocol_run enforces
+    n_max_lo = 2 if mode in ("tomo-synth", "tomo-invert", "wigner") else 1
+    n_max_c = reader.number("hilbert.n_max_c", lo=n_max_lo, hi=40, integer=True, required=True)
+    n_max_r = reader.number("hilbert.n_max_r", lo=n_max_lo, hi=40, integer=True, required=True)
     hilbert = HilbertConfig(n_max_c=n_max_c, n_max_r=n_max_r)
 
     eta = reader.number("modes.eta", lo=1e-6, hi=2.0, required=True)
@@ -323,8 +331,8 @@ def parse_config(text: str, seed_override: int | None = None, threads_override: 
 
     if mode in ("tomo-synth", "tomo-invert", "wigner"):
         cfg["shots"] = reader.number("tomo.shots", default=0, lo=0, integer=True)
-        cfg["n_fit_c"] = reader.number("tomo.n_fit_c", default=max(n_max_c - 2, 0), lo=0, hi=max(n_max_c - 2, 0), integer=True)
-        cfg["n_fit_r"] = reader.number("tomo.n_fit_r", default=max(n_max_r - 2, 0), lo=0, hi=max(n_max_r - 2, 0), integer=True)
+        cfg["n_fit_c"] = reader.number("tomo.n_fit_c", default=n_max_c - 2, lo=0, hi=n_max_c - 2, integer=True)
+        cfg["n_fit_r"] = reader.number("tomo.n_fit_r", default=n_max_r - 2, lo=0, hi=n_max_r - 2, integer=True)
         cfg["ridge"] = reader.number("tomo.ridge", default=0.0, lo=0.0)
         cfg["tau_count"] = reader.number("tomo.tau_count", default=0, lo=0, integer=True)
         cfg["tau_max"] = reader.number("tomo.tau_max", default=0.0, lo=0.0)
@@ -442,12 +450,10 @@ def _run_evolve(config: RunConfig, out_dir: str) -> list[str]:
     times = np.linspace(0.0, config.evolve_t, config.evolve_samples)
     rows = []
     if config.evolve_engine == "effective":
-        h = build_effective_H(config.drive, cfg)
-        states = [propagate_const(h, psi0, t) for t in times]
+        prop = HermitianPropagator(build_effective_H(config.drive, cfg))
+        states = [prop.apply(psi0, t) for t in times]
     else:
-        states = []
-        for t in times:
-            states.append(propagate_bichromatic(config.drive, cfg, psi0, t, dt_max=config.dt_max))
+        states = [propagate_bichromatic(config.drive, cfg, psi0, t, dt_max=config.dt_max) for t in times]
     for t, st in zip(times, states):
         pops = np.sum(np.abs(st.tensor()) ** 2, axis=(1, 2))
         rows.append(f"{_fmt(t)}," + ",".join(_fmt(p) for p in pops))

@@ -238,3 +238,27 @@ def test_exit_code_degenerate_inversion(tmp_path, capsys):
     cfg = SYNTH_CFG.replace("mode = tomo-synth", "mode = tomo-invert").replace("k = 1", "k = 0")
     assert main(["--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 3
     assert "degenerate" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_number_is_config_error(tmp_path, capsys, value):
+    bad = _write(tmp_path, SPECTRUM_CFG.replace("delta = 0.02", f"delta = {value}"))
+    assert main(["--config", bad, "--out", str(tmp_path / "out")]) == 2
+    assert "'drive.delta' must be finite" in capsys.readouterr().err
+
+
+def test_non_finite_tuple_entry_is_config_error(tmp_path, capsys):
+    bad = _write(tmp_path, WIGNER_CFG.replace("alpha_c_line = 0.0, 0.6, 5", "alpha_c_line = 0.0, inf, 5"))
+    assert main(["--config", bad, "--out", str(tmp_path / "out")]) == 2
+    assert "'wigner.alpha_c_line' has a non-finite entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["wigner", "tomo-synth", "tomo-invert"])
+@pytest.mark.parametrize("key", ["n_max_c", "n_max_r"])
+def test_fit_modes_need_room_below_truncation(tmp_path, capsys, mode, key):
+    text = WIGNER_CFG.replace("mode = wigner", f"mode = {mode}").replace("n_fit_c = 8\nn_fit_r = 0\n", "")
+    if mode != "wigner":
+        text = text.replace("[wigner]\nalpha_c_line = 0.0, 0.6, 5\n", "")
+    text = text.replace(f"{key} = {10 if key == 'n_max_c' else 2}", f"{key} = 1")
+    assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    assert f"'hilbert.{key}' must be >= 2, got 1" in capsys.readouterr().err

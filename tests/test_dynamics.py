@@ -7,7 +7,6 @@ import pytest
 
 from vibronic import (
     AdiabaticityWarning,
-    BichromaticAction,
     BichromaticParams,
     CarrierParams,
     ConvergenceWarning,
@@ -32,7 +31,6 @@ from vibronic import (
     rabi_spectrum,
     resonance_guard,
 )
-from vibronic import _kernels
 
 
 def bell_dd_uu(config, sign, n_c=0, n_r=0):
@@ -176,8 +174,8 @@ def test_bichromatic_H_hermitian_and_stretch_conserving():
 
 
 def test_kernel_constant_drive_matches_eigh():
-    # delta = delta' = 0 makes H time independent, so the stepping kernel
-    # must reproduce the exact eigendecomposition result, t < 0 included.
+    # delta = delta' = 0 makes H time independent, so the rotating-frame
+    # engine must reproduce the exact eigendecomposition result, t < 0 included.
     config = HilbertConfig(n_max_c=3, n_max_r=1)
     p = BichromaticParams(
         k=1, k_prime=1, delta=0.0, delta_prime=0.0, omega=0.04 * np.exp(1.1j),
@@ -187,38 +185,84 @@ def test_kernel_constant_drive_matches_eigh():
     h = build_bichromatic_H(0.0, p, config)
     for t in (37.0, -24.0):
         exact = propagate_const(h, psi0, t)
-        stepped = propagate_bichromatic(p, config, psi0, t, dt_max=0.25)
-        assert np.abs(stepped.amps - exact.amps).max() < 1e-10
-        assert abs(stepped.norm() - 1.0) < 1e-12
+        out = propagate_bichromatic(p, config, psi0, t)
+        assert np.abs(out.amps - exact.amps).max() < 1e-10
+        assert abs(out.norm() - 1.0) < 1e-12
+
+
+def _oracle(p, config, psi0, t, dt):
+    return propagate_timedep(lambda s: build_bichromatic_H(s, p, config), psi0, t, dt_max=dt)
 
 
 def test_kernel_matches_dense_generic_integrator():
+    # the dense midpoint oracle converges on the exact engine at second order
     config = HilbertConfig(n_max_c=3, n_max_r=1)
     p = BichromaticParams.symmetric(
         k=1, delta=0.07, omega=0.03, phi=0.4, phi0=0.9, modes=ModeParams(eta=0.17)
     )
     psi0 = basis_state(config, "dd", 0, 0)
-    t, dt = 40.0, 0.02
-    fast = propagate_bichromatic(p, config, psi0, t, dt_max=dt)
-    slow = propagate_timedep(lambda s: build_bichromatic_H(s, p, config), psi0, t, dt_max=dt)
-    assert np.abs(fast.amps - slow.amps).max() < 1e-11
-    assert abs(fast.norm() - 1.0) < 1e-12
+    t = 40.0
+    exact = propagate_bichromatic(p, config, psi0, t)
+    err = {dt: np.abs(exact.amps - _oracle(p, config, psi0, t, dt).amps).max() for dt in (0.02, 0.01)}
+    assert 3.9 <= err[0.02] / err[0.01] <= 4.1
+    assert err[0.01] < 1e-8
+    assert abs(exact.norm() - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("backend", ["numpy", "numba"])
-def test_kernel_backends_agree(backend):
-    if backend == "numba" and not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
+def test_engine_matches_oracle_on_asymmetric_drive():
+    # different sideband orders and detunings on the two tones, complex omega
     config = HilbertConfig(n_max_c=4, n_max_r=2)
     p = BichromaticParams(
         k=2, k_prime=1, delta=0.11, delta_prime=0.06, omega=0.05 * np.exp(0.7j),
         phi=0.1, phi0=-0.4, modes=ModeParams(eta=0.21),
     )
     psi0 = bell_dd_uu(config, -1, n_c=2, n_r=1)
-    out = propagate_bichromatic(p, config, psi0, 25.0, dt_max=0.05, backend=backend)
-    ref = propagate_bichromatic(p, config, psi0, 25.0, dt_max=0.05, backend="numpy")
-    assert np.abs(out.amps - ref.amps).max() < 1e-13
+    out = propagate_bichromatic(p, config, psi0, 25.0)
+    ref = _oracle(p, config, psi0, 25.0, 0.025)
+    assert np.abs(out.amps - ref.amps).max() < 1e-7
     assert abs(out.norm() - 1.0) < 1e-12
+
+
+def test_carrier_tones_converge_on_static_frame():
+    # k = k' = 0 has a static frame only for delta' = -delta, where
+    # H' = H(0) - eps N_e with eps = -delta; the stepper must converge on it
+    config = HilbertConfig(n_max_c=2, n_max_r=1)
+    delta = 0.03
+    p = BichromaticParams(
+        k=0, k_prime=0, delta=delta, delta_prime=-delta, omega=0.02 * np.exp(-0.5j),
+        phi=0.3, phi0=1.2, modes=ModeParams(eta=0.15),
+    )
+    psi0 = bell_dd_uu(config, +1, n_c=1, n_r=0)
+    n_e = np.repeat([0.0, 1.0, 1.0, 2.0], config.dim_vib)
+    t = 30.0
+    rotated = propagate_const(build_bichromatic_H(0.0, p, config) + delta * np.diag(n_e), psi0, t)
+    exact = np.exp(1j * delta * n_e * t) * rotated.amps
+    err = {dt: np.abs(propagate_bichromatic(p, config, psi0, t, dt_max=dt).amps - exact).max() for dt in (0.1, 0.05)}
+    assert 3.9 <= err[0.1] / err[0.05] <= 4.1
+    assert err[0.05] < 1e-6
+
+
+def test_carrier_tones_stepper_matches_dense_oracle():
+    # the sparse stepper and the dense oracle take the same midpoint steps
+    config = HilbertConfig(n_max_c=3, n_max_r=2)
+    p = BichromaticParams(
+        k=0, k_prime=0, delta=0.05, delta_prime=0.02, omega=0.04 * np.exp(0.3j),
+        phi=-0.2, phi0=0.7, modes=ModeParams(eta=0.2),
+    )
+    psi0 = bell_dd_uu(config, -1, n_c=2, n_r=1)
+    for t in (40.0, -15.0):
+        out = propagate_bichromatic(p, config, psi0, t, dt_max=0.02)
+        assert np.abs(out.amps - _oracle(p, config, psi0, t, 0.02).amps).max() < 1e-11
+        assert abs(out.norm() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("dt_max", [0.0, -0.05])
+@pytest.mark.parametrize("k", [0, 1])
+def test_propagate_bichromatic_rejects_nonpositive_step(k, dt_max):
+    config = HilbertConfig(n_max_c=2, n_max_r=0)
+    p = BichromaticParams.symmetric(k=k, delta=0.05, omega=0.02, modes=ModeParams(eta=0.1))
+    with pytest.raises(ValueError, match="dt_max"):
+        propagate_bichromatic(p, config, basis_state(config, "dd", 0, 0), 1.0, dt_max=dt_max)
 
 
 def test_dispersive_leakage_stays_perturbative():
@@ -230,7 +274,7 @@ def test_dispersive_leakage_stays_perturbative():
     p = BichromaticParams.symmetric(k=1, delta=delta, omega=omega, modes=modes)
     g = modes.eta * omega * coupling_f(0, 0, 1, modes)
     quarter = np.pi / (4 * abs(rabi_effective(0, 0, p)))
-    out = propagate_bichromatic(p, config, basis_state(config, "dd", 0, 0), quarter / 4, dt_max=0.05)
+    out = propagate_bichromatic(p, config, basis_state(config, "dd", 0, 0), quarter / 4)
     pops = out.tensor()
     leak = float(np.abs(pops[1]).max() ** 2 + np.abs(pops[2]).max() ** 2)
     assert leak < 20.0 * (g / delta) ** 2
