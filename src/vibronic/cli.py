@@ -232,7 +232,6 @@ class _Reader:
 class RunConfig:
     mode: str
     seed: int
-    threads: int
     hilbert: HilbertConfig | None = None
     modes: ModeParams | None = None
     drive: BichromaticParams | None = None
@@ -264,6 +263,7 @@ def parse_config(text: str, seed_override: int | None = None, threads_override: 
     reader = _Reader(_scan(text))
     mode = reader.string("mode", choices=set(MODES), required=True)
     seed = seed_override if seed_override is not None else reader.number("seed", default=0, lo=0, integer=True)
+    # 'threads' is still accepted, range-checked and echoed so that older configs parse; runs are serial
     threads = threads_override if threads_override is not None else reader.number("threads", default=1, lo=1, integer=True)
     if seed_override is not None:
         reader.number("seed", default=0, lo=0, integer=True)  # consume + range check the file value
@@ -274,7 +274,7 @@ def parse_config(text: str, seed_override: int | None = None, threads_override: 
 
     if mode == "validate":
         reader.reject_unknown()
-        return RunConfig(mode=mode, seed=int(seed), threads=int(threads), echo=tuple(reader.echo))
+        return RunConfig(mode=mode, seed=int(seed), echo=tuple(reader.echo))
 
     # a fit grid n_fit >= 0 needs n_fit <= n_max - 2, the rule protocol_run enforces
     n_max_lo = 2 if mode in ("tomo-synth", "tomo-invert", "wigner") else 1
@@ -307,10 +307,7 @@ def parse_config(text: str, seed_override: int | None = None, threads_override: 
         if mode == "evolve" and state is not None and state.kind == "thermal":
             raise ConfigError("evolve mode needs a pure state; 'state.kind = thermal' is a mixture")
 
-    cfg = dict(
-        mode=mode, seed=int(seed), threads=int(threads),
-        hilbert=hilbert, modes=modes, drive=drive, state=state,
-    )
+    cfg = dict(mode=mode, seed=int(seed), hilbert=hilbert, modes=modes, drive=drive, state=state)
 
     if mode in ("bell-phi", "bell-psi"):
         cfg["bell_sign"] = reader.sign("bell.sign")
@@ -340,6 +337,10 @@ def parse_config(text: str, seed_override: int | None = None, threads_override: 
         cfg["signal_file"] = reader.string("tomo.signal_file")
         if cfg["signal_file"] is None and state is None:
             raise ConfigError("tomo-invert needs either tomo.signal_file or a [state] section")
+    # the default tau span is pi over the closest fit-frequency gap, which a single cell lacks
+    synthesises = mode in ("tomo-synth", "wigner") or (mode == "tomo-invert" and cfg["signal_file"] is None)
+    if synthesises and cfg["n_fit_c"] == cfg["n_fit_r"] == 0 and cfg["tau_max"] == 0:
+        raise ConfigError("a one-cell fit grid (tomo.n_fit_c = tomo.n_fit_r = 0) needs an explicit tomo.tau_max")
 
     if mode == "wigner":
         cfg["alphas"] = _read_alphas(reader)
@@ -421,9 +422,8 @@ def _fmt(x: float) -> str:
 
 
 def _tau_grid(config: RunConfig) -> np.ndarray:
-    base = default_tau_grid(config.drive, config.n_fit_c, config.n_fit_r)
-    span = config.tau_max if config.tau_max > 0 else base[-1]
-    count = config.tau_count if config.tau_count > 0 else base.size
+    span = config.tau_max or default_tau_grid(config.drive, config.n_fit_c, config.n_fit_r)[-1]
+    count = config.tau_count or 4 * (config.n_fit_c + 1) * (config.n_fit_r + 1)
     return np.linspace(0.0, span, count)
 
 
@@ -543,7 +543,7 @@ def _run_wigner(config: RunConfig, out_dir: str) -> list[str]:
         rho, config.alphas, taus, config.drive,
         shots=config.shots, seed=config.seed,
         n_fit_c=config.n_fit_c, n_fit_r=config.n_fit_r,
-        ridge=config.ridge, workers=config.threads,
+        ridge=config.ridge,
     )
     head = ["re_ac,im_ac,re_ar,im_ar,w"]
     est_lines = _header(config) + head
@@ -602,7 +602,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to the run configuration file")
     parser.add_argument("--out", required=True, help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None, help="override the config worker count")
+    parser.add_argument("--threads", type=int, default=None, help="accepted for older configs; has no effect")
     parser.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
     args = parser.parse_args(argv)
 
@@ -618,6 +618,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:
+        print(f"config error: out of memory: {err}", file=sys.stderr)
+        return 2
 
     try:
         summaries, code = run(config, args.out)
@@ -626,6 +629,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 3
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)

@@ -215,11 +215,13 @@ class RabiSpectrum:
 
 
 def rabi_spectrum(p: BichromaticParams, n_max_c: int, n_max_r: int) -> RabiSpectrum:
-    vals = np.empty((n_max_c + 1, n_max_r + 1))
-    for n_c in range(n_max_c + 1):
-        for n_r in range(n_max_r + 1):
-            vals[n_c, n_r] = rabi_effective(n_c, n_r, p)
-    return RabiSpectrum(values=vals, params=p)
+    """`rabi_effective` over the full grid, bitwise equal to it cell by cell."""
+    if not p.symmetric_drive:
+        raise ValueError("effective rates assume k == k' and delta == delta'")
+    scale = omega_k_scale(p.k, p.omega, p.delta, p.modes.eta)
+    f = coupling_f_grid(n_max_c, n_max_r, p.k, p.modes)
+    bracket = np.array([_number_bracket(n_c, p.k) for n_c in range(n_max_c + 1)])
+    return RabiSpectrum(values=scale * f * f * bracket[:, None], params=p)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +263,8 @@ def build_effective_H(p: BichromaticParams, config: HilbertConfig) -> np.ndarray
     Valid when |delta| dominates every sideband coupling in the truncated
     box; a marginal ratio triggers AdiabaticityWarning.
     """
-    if not p.symmetric_drive:
-        raise ValueError("effective Hamiltonian assumes k == k' and delta == delta'")
-    scale = omega_k_scale(p.k, p.omega, p.delta, p.modes.eta)
+    avals = rabi_spectrum(p, config.n_max_c, config.n_max_r).values.ravel()
     fgrid = coupling_f_grid(config.n_max_c, config.n_max_r, p.k, p.modes)
-    bracket = np.array([_number_bracket(n, p.k) for n in range(config.n_max_c + 1)])
-    avals = (scale * fgrid * fgrid * bracket[:, None]).ravel()
 
     couple = (p.modes.eta ** p.k) * abs(p.omega) * np.abs(fgrid)
     worst = float(couple.max())

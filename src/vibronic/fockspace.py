@@ -164,12 +164,9 @@ def coupling_f(n_c: int, n_r: int, k: int, modes: ModeParams) -> float:
 
 def coupling_f_grid(n_max_c: int, n_max_r: int, k: int, modes: ModeParams) -> np.ndarray:
     """f_k over the full grid, entry (n_c, n_r); bitwise equal to `coupling_f`."""
-    return np.array(
-        [
-            [coupling_f(n_c, n_r, k, modes) for n_r in range(n_max_r + 1)]
-            for n_c in range(n_max_c + 1)
-        ]
-    )
+    env = np.exp(-(modes.eta**2 + modes.eta_r**2) / 2.0)
+    inv = np.array([_inv_rising(n_c, k) for n_c in range(n_max_c + 1)])
+    return env * inv[:, None] * laguerre_seq(n_max_c, k, modes.eta**2)[:, None] * laguerre_seq(n_max_r, 0, modes.eta_r**2)
 
 
 # --------------------------------------------------------------------------

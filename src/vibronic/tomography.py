@@ -18,12 +18,15 @@ recovered populations then gives one point of the two-mode Wigner function
 normalized so the vacuum origin reads 4/pi^2.  wigner_direct computes the
 same value from the exact displaced state and serves as the oracle for the
 full simulated protocol.
+
+The cos^2 designs depend only on the drive, the tau grid and the grid
+sizes, so protocol_run builds them once per run and then draws and solves
+each displacement point in turn.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,13 +223,16 @@ def synth_signal(
     sample with a binomial draw using an independent substream derived from
     (seed, sample index), so any sample can be regenerated in isolation.
     """
+    taus = np.asarray(taus, dtype=float)
+    a = design_matrix(_fit_frequencies(p, rho.config.n_max_c, rho.config.n_max_r), taus)
+    return _draw(a, rho, taus, p, shots, seed)
+
+
+def _draw(a: np.ndarray, rho: VibDensity, taus: np.ndarray, p: BichromaticParams, shots: int, seed: int) -> SignalRecord:
+    """One record of ``rho`` through ``a``, the cos^2 design on its full Fock grid."""
     if shots < 0:
         raise ValueError("shots must be >= 0")
-    taus = np.asarray(taus, dtype=float)
-    cfg = rho.config
-    freqs = _fit_frequencies(p, cfg.n_max_c, cfg.n_max_r)
-    probs = design_matrix(freqs, taus) @ rho.populations().ravel()
-    probs = np.clip(probs, 0.0, 1.0)
+    probs = np.clip(a @ rho.populations().ravel(), 0.0, 1.0)
     if shots == 0:
         return SignalRecord(taus=taus, p_dd=probs, shots=np.zeros(taus.size, int), params=p, seed=seed)
     drawn = np.empty(taus.size)
@@ -254,31 +260,37 @@ def invert_populations(
     unregularized residual and the condition number of the plain design.
     A solution summing above 1 is rescaled onto the probability simplex.
     """
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
-    shape = (n_fit_c + 1, n_fit_r + 1)
-    freqs = _fit_frequencies(record.params, n_fit_c, n_fit_r)
-    collisions = _frequency_collisions(freqs, shape)
+    a = _fit_design(record.params, n_fit_c, n_fit_r, record.taus)
+    return _solve(a, float(np.linalg.cond(a)), record.p_dd, (n_fit_c + 1, n_fit_r + 1), ridge)
+
+
+def _fit_design(p: BichromaticParams, n_fit_c: int, n_fit_r: int, taus: np.ndarray) -> np.ndarray:
+    freqs = _fit_frequencies(p, n_fit_c, n_fit_r)
+    collisions = _frequency_collisions(freqs, (n_fit_c + 1, n_fit_r + 1))
     if collisions:
         raise DegeneracyError(
             "fit frequencies collide (within 1e-12) for Fock pairs: "
             + "; ".join(f"{a} ~ {b}" for a, b in collisions[:8])
         )
-    n_unknown = freqs.size
-    if record.taus.size < n_unknown:
-        raise ValueError(f"{record.taus.size} samples cannot determine {n_unknown} populations")
-    a = design_matrix(freqs, record.taus)
-    cond = float(np.linalg.cond(a))
+    if taus.size < freqs.size:
+        raise ValueError(f"{taus.size} samples cannot determine {freqs.size} populations")
+    return design_matrix(freqs, taus)
+
+
+def _solve(a: np.ndarray, cond: float, p_dd: np.ndarray, shape: tuple[int, int], ridge: float) -> PopulationEstimate:
+    if ridge < 0:
+        raise ValueError("ridge must be >= 0")
+    n_unknown = a.shape[1]
     if ridge > 0:
         a_solve = np.vstack([a, math.sqrt(ridge) * np.eye(n_unknown)])
-        b_solve = np.concatenate([record.p_dd, np.zeros(n_unknown)])
+        b_solve = np.concatenate([p_dd, np.zeros(n_unknown)])
     else:
-        a_solve, b_solve = a, record.p_dd
+        a_solve, b_solve = a, p_dd
     x, _ = nnls(a_solve, b_solve)
     total = x.sum()
     if total > 1.0:
         x = x / total
-    residual = float(np.linalg.norm(a @ x - record.p_dd))
+    residual = float(np.linalg.norm(a @ x - p_dd))
     return PopulationEstimate(pi=x.reshape(shape), residual_norm=residual, condition_number=cond)
 
 
@@ -337,14 +349,14 @@ def protocol_run(
     n_fit_c: int | None = None,
     n_fit_r: int | None = None,
     ridge: float = 0.0,
-    workers: int = 1,
 ) -> list[ProtocolPoint]:
     """displace -> synthesize -> invert -> Wigner, per displacement point.
 
     Fit-grid sizes default to n_max - 2 per mode and may not exceed that
-    (the topmost levels carry truncation error).  Each point uses the
-    substream (seed, point index), so results are reproducible regardless
-    of ``workers``.
+    (the topmost levels carry truncation error).  Both designs depend only
+    on the drive, the tau grid and the grid sizes, so they are built once
+    per run.  Point idx uses the substream (seed, idx), so each point equals
+    displace_vib -> synth_signal -> invert_populations bit for bit.
     """
     cfg = rho.config
     if n_fit_c is None:
@@ -358,21 +370,18 @@ def protocol_run(
         )
     if min(n_fit_c, n_fit_r) < 0:
         raise ValueError("fit grid must be nonnegative; enlarge the truncation")
-    alphas = list(alphas)
-
-    def one_point(idx: int) -> ProtocolPoint:
-        alpha_c, alpha_r = alphas[idx]
+    taus = np.asarray(taus, dtype=float)
+    synth = design_matrix(_fit_frequencies(p, cfg.n_max_c, cfg.n_max_r), taus)
+    fit = _fit_design(p, n_fit_c, n_fit_r, taus)
+    cond = float(np.linalg.cond(fit))
+    points = []
+    for idx, (alpha_c, alpha_r) in enumerate(alphas):
         point_seed = int(np.random.SeedSequence((seed, idx)).generate_state(1)[0])
-        displaced = displace_vib(rho, alpha_c, alpha_r)
-        record = synth_signal(displaced, taus, p, shots=shots, seed=point_seed)
-        est = invert_populations(record, n_fit_c, n_fit_r, ridge=ridge)
+        record = _draw(synth, displace_vib(rho, alpha_c, alpha_r), taus, p, shots, point_seed)
+        est = _solve(fit, cond, record.p_dd, (n_fit_c + 1, n_fit_r + 1), ridge)
         w = wigner_from_populations(est)
-        return ProtocolPoint(wigner=WignerPoint(alpha_c, alpha_r, w), estimate=est)
-
-    if workers > 1 and len(alphas) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one_point, range(len(alphas))))
-    return [one_point(i) for i in range(len(alphas))]
+        points.append(ProtocolPoint(wigner=WignerPoint(alpha_c, alpha_r, w), estimate=est))
+    return points
 
 
 # ---------------------------------------------------------------------------

@@ -262,3 +262,67 @@ def test_fit_modes_need_room_below_truncation(tmp_path, capsys, mode, key):
     text = text.replace(f"{key} = {10 if key == 'n_max_c' else 2}", f"{key} = 1")
     assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
     assert f"'hilbert.{key}' must be >= 2, got 1" in capsys.readouterr().err
+
+
+def test_one_cell_fit_grid_needs_explicit_tau_span(tmp_path, capsys):
+    # n_max = 2 leaves the single fit cell (0, 0): no frequency gap sets the default span
+    text = WIGNER_CFG.replace("n_max_c = 10", "n_max_c = 2").replace("n_fit_c = 8\nn_fit_r = 0\n", "")
+    assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    assert "tomo.tau_max" in capsys.readouterr().err
+
+
+def test_one_cell_fit_grid_runs_with_explicit_taus(tmp_path):
+    text = (
+        SYNTH_CFG.replace("n_max_c = 12\nn_max_r = 3", "n_max_c = 2\nn_max_r = 2")
+        .replace("kind = thermal\nnbar_c = 0.2\nnbar_r = 0.0", "kind = fock")
+        .replace("n_fit_c = 4\nn_fit_r = 1\n", "n_fit_c = 0\nn_fit_r = 0\ntau_max = 500\ntau_count = 20\n")
+    )
+    assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "sig"), "--quiet"]) == 0
+    assert len(_data_rows(tmp_path / "sig" / "signal.csv")) == 20
+    # a record read from file sets its own taus, so inverting it needs no span
+    invert_cfg = (
+        "mode = tomo-invert\n[hilbert]\nn_max_c = 2\nn_max_r = 2\n"
+        "[modes]\neta = 0.23\n[drive]\nk = 1\ndelta = 0.02\nomega = 0.05\n"
+        f"[tomo]\nsignal_file = {tmp_path / 'sig' / 'signal.csv'}\n"
+    )
+    assert main(["--config", _write(tmp_path, invert_cfg, "inv.cfg"), "--out", str(tmp_path / "pop"), "--quiet"]) == 0
+
+
+@pytest.fixture
+def no_huge_linspace(monkeypatch):
+    """np.linspace that fails as an oversized allocation would, without allocating."""
+    real = np.linspace
+
+    def guarded(start, stop, num=50, **kwargs):
+        if num > 10**6:
+            raise MemoryError(f"Unable to allocate an array with shape ({num},)")
+        return real(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", guarded)
+
+
+def test_oversized_alpha_line_is_config_error(tmp_path, capsys, no_huge_linspace):
+    text = WIGNER_CFG.replace("alpha_c_line = 0.0, 0.6, 5", "alpha_c_line = -0.3, 0.3, 1e12")
+    assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out of memory") and err.count("\n") == 1
+
+
+def test_oversized_tau_grid_is_run_error(tmp_path, capsys, no_huge_linspace):
+    text = SYNTH_CFG + "tau_count = 1000000000000\n"
+    assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+def test_threads_is_accepted_and_has_no_effect(tmp_path):
+    outputs = {}
+    for name, text, flags in [
+        ("one", WIGNER_CFG.replace("mode = wigner", "mode = wigner\nthreads = 1"), []),
+        ("many", WIGNER_CFG.replace("mode = wigner", "mode = wigner\nthreads = 4"), ["--threads", "3"]),
+    ]:
+        args = ["--config", _write(tmp_path, text, f"{name}.cfg"), "--out", str(tmp_path / name), "--quiet"]
+        assert main(args + flags) == 0
+        outputs[name] = (tmp_path / name / "wigner.csv").read_text().splitlines()
+    assert "# threads = 3" in outputs["many"]
+    assert [l for l in outputs["one"] if l != "# threads = 1"] == [l for l in outputs["many"] if l != "# threads = 3"]

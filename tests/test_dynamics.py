@@ -70,6 +70,28 @@ def test_rabi_effective_ignores_drive_phases():
         assert rabi_effective(3, 2, rot) == pytest.approx(rabi_effective(3, 2, base), rel=1e-13)
 
 
+@pytest.mark.parametrize("eta", [0.02, 0.23, 1.0, 2.0])
+@pytest.mark.parametrize("k", range(7))
+def test_grids_equal_per_cell_formulas(eta, k):
+    # the grid builders are one array expression each; they must reproduce the
+    # per-cell reference functions bit for bit, up to the largest CLI grid
+    modes = ModeParams(eta=eta)
+    p = BichromaticParams.symmetric(k=k, delta=0.03, omega=0.02, modes=modes)
+    for n_max_c, n_max_r in [(0, 0), (1, 3), (7, 2), (40, 40)]:
+        cells = [(n_c, n_r) for n_c in range(n_max_c + 1) for n_r in range(n_max_r + 1)]
+        shape = (n_max_c + 1, n_max_r + 1)
+        f_cells = np.array([coupling_f(n_c, n_r, k, modes) for n_c, n_r in cells]).reshape(shape)
+        w_cells = np.array([rabi_effective(n_c, n_r, p) for n_c, n_r in cells]).reshape(shape)
+        assert np.array_equal(coupling_f_grid(n_max_c, n_max_r, k, modes), f_cells)
+        assert np.array_equal(rabi_spectrum(p, n_max_c, n_max_r).values, w_cells)
+        if n_max_c < 40:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AdiabaticityWarning)
+                h = build_effective_H(p, HilbertConfig(n_max_c=n_max_c, n_max_r=n_max_r))
+            # the |dd> block is (-1)^k diag(Omega^k); the sign flip is exact
+            assert np.array_equal((-1.0) ** k * np.diag(h)[: len(cells)].real, w_cells.ravel())
+
+
 def test_rabi_spectrum_k0_vanishes():
     p = BichromaticParams.symmetric(k=0, delta=0.05, omega=0.02, modes=ModeParams(eta=0.2))
     spec = rabi_spectrum(p, 6, 3)

@@ -278,14 +278,42 @@ def test_protocol_rejects_fit_grid_near_truncation():
         protocol_run(vacuum(6, 3), LINE, np.linspace(0, 10, 80), DRIVE, n_fit_c=5, n_fit_r=1)
 
 
-def test_protocol_workers_do_not_change_results():
+@pytest.mark.parametrize("shots", [0, 300])
+@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+def test_protocol_equals_per_point_public_path(shots, ridge):
     rho = vacuum()
     taus = default_tau_grid(DRIVE, 10, 2)
-    serial = protocol_run(rho, LINE, taus, DRIVE, shots=300, seed=4, n_fit_c=10, n_fit_r=2)
-    threaded = protocol_run(rho, LINE, taus, DRIVE, shots=300, seed=4, n_fit_c=10, n_fit_r=2, workers=3)
-    for a, b in zip(serial, threaded):
-        assert a.wigner.w == b.wigner.w
-        assert np.array_equal(a.estimate.pi, b.estimate.pi)
+    points = protocol_run(rho, LINE, taus, DRIVE, shots=shots, seed=4, n_fit_c=10, n_fit_r=2, ridge=ridge)
+    assert len(points) == len(LINE)
+    for idx, (pt, (ac, ar)) in enumerate(zip(points, LINE)):
+        point_seed = int(np.random.SeedSequence((4, idx)).generate_state(1)[0])
+        record = synth_signal(displace_vib(rho, ac, ar), taus, DRIVE, shots=shots, seed=point_seed)
+        est = invert_populations(record, 10, 2, ridge=ridge)
+        assert np.array_equal(pt.estimate.pi, est.pi)
+        assert pt.estimate.residual_norm == est.residual_norm
+        assert pt.estimate.condition_number == est.condition_number
+        assert pt.wigner.w == wigner_from_populations(est)
+
+
+def test_protocol_builds_design_once_per_run(monkeypatch):
+    import vibronic.tomography as tomography
+
+    calls = []
+    real = tomography.design_matrix
+
+    def counting(freqs, taus):
+        calls.append(len(freqs))
+        return real(freqs, taus)
+
+    monkeypatch.setattr(tomography, "design_matrix", counting)
+    taus = default_tau_grid(DRIVE, 10, 2)
+    counts = []
+    for n_points in (1, 7):
+        calls.clear()
+        grid = [(0.1 * i, 0.0) for i in range(n_points)]
+        protocol_run(vacuum(), grid, taus, DRIVE, shots=100, n_fit_c=10, n_fit_r=2)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_protocol_rms_error_halves_with_quadrupled_shots():
