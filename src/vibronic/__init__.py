@@ -44,14 +44,17 @@ from .dynamics import (
     BichromaticParams,
     CarrierParams,
     ConvergenceWarning,
+    FactoredPropagator,
     HermitianPropagator,
     RabiSpectrum,
     RotatingWaveWarning,
     build_bichromatic_H,
     build_carrier_H,
     build_effective_H,
+    carrier_factors,
     closed_form_carrier,
     closed_form_dispersive,
+    effective_factors,
     omega_k_scale,
     propagate_bichromatic,
     propagate_const,

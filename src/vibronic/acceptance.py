@@ -44,6 +44,7 @@ from .bellgen import (
 from .dynamics import (
     BichromaticParams,
     CarrierParams,
+    HermitianPropagator,
     build_carrier_H,
     build_effective_H,
     closed_form_carrier,
@@ -145,14 +146,14 @@ def check_decoupling(tol: float = 1e-12) -> AcceptanceResult:
         p = BichromaticParams.symmetric(
             k=1, delta=0.7, omega=0.05, phi=0.4, phi0=1.1, modes=ModeParams(eta=0.2)
         )
-        h = build_effective_H(p, config)
+        prop = HermitianPropagator(build_effective_H(p, config))
     vib = rng.normal(size=config.dim_vib) + 1j * rng.normal(size=config.dim_vib)
     amps = np.zeros(config.dim, dtype=complex)
     amps[: config.dim_vib] = vib / np.linalg.norm(vib)
     psi0 = JointState(amps=amps, config=config)
     worst = 0.0
     for t in np.linspace(0.0, 2.0e4, 100):
-        tens = propagate_const(h, psi0, float(t)).tensor()
+        tens = prop.apply(psi0, float(t)).tensor()
         leak = float(np.sum(np.abs(tens[1]) ** 2) + np.sum(np.abs(tens[2]) ** 2))
         worst = max(worst, leak)
     return AcceptanceResult(

@@ -34,9 +34,9 @@ from .dynamics import (
     AdiabaticityWarning,
     BichromaticParams,
     CarrierParams,
-    HermitianPropagator,
-    build_carrier_H,
-    build_effective_H,
+    FactoredPropagator,
+    carrier_factors,
+    effective_factors,
     propagate_bichromatic,
     rabi_effective,
     rabi_spectrum,
@@ -137,9 +137,9 @@ def run_sequence(
         raise ValueError(f"unknown engine {engine!r}")
     for pulse in seq.pulses:
         if pulse.kind == "carrier":
-            state = HermitianPropagator(build_carrier_H(pulse.params, config)).apply(state, pulse.duration)
+            state = FactoredPropagator(*carrier_factors(pulse.params, config)).apply(state, pulse.duration)
         elif engine == "effective":
-            state = HermitianPropagator(build_effective_H(pulse.params, config)).apply(state, pulse.duration)
+            state = FactoredPropagator(*effective_factors(pulse.params, config)).apply(state, pulse.duration)
         else:
             state = propagate_bichromatic(pulse.params, config, state, pulse.duration, dt_max=dt_max)
     return state

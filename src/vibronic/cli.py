@@ -37,9 +37,9 @@ from .bellgen import carrier_phase_for, make_phi, make_psi
 from .dynamics import (
     BichromaticParams,
     CarrierParams,
-    HermitianPropagator,
+    FactoredPropagator,
+    effective_factors,
     propagate_bichromatic,
-    build_effective_H,
     rabi_spectrum,
     resonance_guard,
 )
@@ -450,7 +450,7 @@ def _run_evolve(config: RunConfig, out_dir: str) -> list[str]:
     times = np.linspace(0.0, config.evolve_t, config.evolve_samples)
     rows = []
     if config.evolve_engine == "effective":
-        prop = HermitianPropagator(build_effective_H(config.drive, cfg))
+        prop = FactoredPropagator(*effective_factors(config.drive, cfg))
         states = [prop.apply(psi0, t) for t in times]
     else:
         states = [propagate_bichromatic(config.drive, cfg, psi0, t, dt_max=config.dt_max) for t in times]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vibronic import (
+    AdiabaticityWarning,
     BellTarget,
     BichromaticParams,
     CarrierParams,
@@ -55,6 +56,11 @@ def test_make_phi_refuses_vanishing_rate():
         make_phi(1, drive(k=0), CONFIG)
     with pytest.raises(ValueError):
         make_phi(1, drive(omega=0.0), CONFIG)
+
+
+def test_make_phi_effective_warns_on_marginal_detuning():
+    with pytest.warns(AdiabaticityWarning):
+        make_phi(1, drive(delta=0.004, eta=0.1), HilbertConfig(n_max_c=4, n_max_r=1), engine="effective")
 
 
 def test_pulse_rejects_nonpositive_duration():

@@ -1,8 +1,11 @@
 """Config parsing errors, mode outputs and determinism of the command line."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from vibronic import AdiabaticityWarning
 from vibronic.cli import ConfigError, main, parse_config
 
 SPECTRUM_CFG = """\
@@ -313,6 +316,44 @@ def test_oversized_tau_grid_is_run_error(tmp_path, capsys, no_huge_linspace):
     assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+def _top_grid_cfg(mode, extra):
+    return (
+        f"mode = {mode}\n[hilbert]\nn_max_c = 40\nn_max_r = 40\n[modes]\neta = 0.05\n"
+        "[drive]\nk = 1\ndelta = 0.1\nomega = 0.02\nphi = 0.3\nphi0 = 0.7\n" + extra
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, extra",
+    [
+        ("bell-psi", "[bell]\nstart_sign = +\nengine = effective\n[carrier]\nvarphi0 = 0.4\n"),
+        ("evolve", "[state]\nkind = coherent\nalpha_c_re = 1.5\nalpha_r_im = 0.8\n"
+                   "[evolve]\nt = 3000\nsamples = 20\nengine = effective\n"),
+    ],
+)
+def test_effective_modes_run_at_the_top_of_the_grid(tmp_path, mode, extra):
+    # grid (40, 40) is dim 6724: a dense generator alone would be 723 MB
+    cfg = _write(tmp_path, _top_grid_cfg(mode, extra))
+    tracemalloc.start()
+    try:
+        code = main(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 64e6
+
+
+def test_effective_evolve_warns_on_marginal_detuning(tmp_path):
+    text = (
+        "mode = evolve\n[hilbert]\nn_max_c = 4\nn_max_r = 1\n[modes]\neta = 0.1\n"
+        "[drive]\nk = 1\ndelta = 0.004\nomega = 0.02\n[state]\nkind = fock\n"
+        "[evolve]\nt = 100\nsamples = 3\nengine = effective\n"
+    )
+    with pytest.warns(AdiabaticityWarning):
+        assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out"), "--quiet"]) == 0
 
 
 def test_threads_is_accepted_and_has_no_effect(tmp_path):

@@ -10,6 +10,7 @@ from vibronic import (
     BichromaticParams,
     CarrierParams,
     ConvergenceWarning,
+    FactoredPropagator,
     HilbertConfig,
     JointState,
     ModeParams,
@@ -18,10 +19,12 @@ from vibronic import (
     build_bichromatic_H,
     build_carrier_H,
     build_effective_H,
+    carrier_factors,
     closed_form_carrier,
     closed_form_dispersive,
     coupling_f,
     coupling_f_grid,
+    effective_factors,
     mode_operators,
     omega_k_scale,
     propagate_bichromatic,
@@ -169,6 +172,56 @@ def test_carrier_evolution_matches_closed_form():
         want = closed_form_carrier(sign, p, n_c, n_r, t0)
         assert np.abs(out.tensor()[:, n_c, n_r] - want).max() < 1e-12
         assert abs(np.linalg.norm(want) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_factored_propagator_matches_dense_generators(k):
+    # the factored path against the dense kron generators it replaces
+    rng = np.random.default_rng(31 + k)
+    for n_max_c, n_max_r in ((5, 2), (1, 4), (3, 0)):
+        config = HilbertConfig(n_max_c=n_max_c, n_max_r=n_max_r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = BichromaticParams.symmetric(
+                k=k,
+                delta=float(rng.uniform(0.02, 1.5)) * (1 if rng.random() < 0.5 else -1),
+                omega=float(rng.uniform(0.01, 0.3)) * np.exp(1j * rng.uniform(-np.pi, np.pi)),
+                phi=float(rng.uniform(-np.pi, np.pi)),
+                phi0=float(rng.uniform(-np.pi, np.pi)),
+                modes=ModeParams(eta=float(rng.uniform(0.05, 0.3))),
+            )
+            effective = (effective_factors(p, config), build_effective_H(p, config))
+        pc = CarrierParams(
+            omega=float(rng.uniform(0.02, 0.3)) * np.exp(1j * rng.uniform(-np.pi, np.pi)),
+            varphi=float(rng.uniform(-np.pi, np.pi)),
+            varphi0=float(rng.uniform(-np.pi, np.pi)),
+            modes=p.modes,
+        )
+        carrier = (carrier_factors(pc, config), build_carrier_H(pc, config))
+        amps = rng.normal(size=config.dim) + 1j * rng.normal(size=config.dim)
+        psi0 = JointState(amps=amps / np.linalg.norm(amps), config=config)
+        for (m4, a), h in (effective, carrier):
+            prop = FactoredPropagator(m4, a)
+            scale = max(float(np.abs(a).max()), 1e-6)
+            for t in np.array([-2.3, 0.7, 2.9]) / scale:
+                out = prop.apply(psi0, float(t))
+                assert np.abs(out.amps - propagate_const(h, psi0, float(t)).amps).max() < 1e-12
+                assert abs(out.norm() - 1.0) < 1e-12
+
+
+def test_factored_propagator_rejects_nonhermitian():
+    config = HilbertConfig(n_max_c=1, n_max_r=0)
+    bad = np.zeros((4, 4), dtype=complex)
+    bad[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        FactoredPropagator(bad, np.ones(config.dim_vib))
+    with pytest.raises(ValueError):
+        FactoredPropagator(np.eye(4), np.array([1.0, 1.0 + 1e-3j]))
+    # the same relative rule as HermitianPropagator: a rounding-size defect passes
+    near = np.eye(4, dtype=complex)
+    near[0, 1] = 1e-12
+    out = FactoredPropagator(near, np.ones(config.dim_vib)).apply(basis_state(config, "dd", 0, 0), 1.0)
+    assert abs(out.norm() - 1.0) < 1e-12
 
 
 def test_carrier_eigenvalues_on_single_level():
