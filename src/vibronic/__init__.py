@@ -89,6 +89,7 @@ from .tomography import (
     default_tau_grid,
     design_matrix,
     displace_vib,
+    displaced_populations,
     invert_populations,
     protocol_run,
     synth_signal,

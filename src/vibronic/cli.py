@@ -58,7 +58,6 @@ from .tomography import (
     invert_populations,
     protocol_run,
     synth_signal,
-    wigner_direct,
 )
 
 MODES = (
@@ -551,7 +550,7 @@ def _run_wigner(config: RunConfig, out_dir: str) -> list[str]:
     for pt, (ac, ar) in zip(points, config.alphas):
         coords = f"{_fmt(ac.real)},{_fmt(ac.imag)},{_fmt(ar.real)},{_fmt(ar.imag)}"
         est_lines.append(f"{coords},{_fmt(pt.wigner.w)}")
-        oracle_lines.append(f"{coords},{_fmt(wigner_direct(rho, ac, ar))}")
+        oracle_lines.append(f"{coords},{_fmt(pt.w_exact)}")
     _write(os.path.join(out_dir, "wigner.csv"), est_lines)
     _write(os.path.join(out_dir, "wigner_oracle.csv"), oracle_lines)
     return [f"wigner: {len(points)} points -> wigner.csv (+ wigner_oracle.csv)"]

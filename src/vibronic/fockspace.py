@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -343,14 +344,28 @@ def density_defects(rho: VibDensity) -> dict:
 # displacement
 
 
+@lru_cache(maxsize=16)
+def _displacement_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, V, V^dag) of the Hermitian i(a^dag - a) on `dim` levels, read-only."""
+    a = destroy(dim)
+    w, v = np.linalg.eigh(1j * (a.T - a))
+    out = (w, v, v.conj().T)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def displacement(alpha: complex, mode: str, config: HilbertConfig) -> np.ndarray:
     """Displacement unitary exp(alpha a^dag - alpha* a) on one mode.
 
-    Computed as the exact matrix exponential of the truncated generator
-    (via Hermitian eigendecomposition), so the result is exactly unitary on
-    the grid.  Large displacements relative to the truncation are flagged:
-    |alpha|^2 > n_max/4 leaves too little headroom for the displaced
-    populations to decay before the cutoff.
+    With theta = arg(alpha) and R = diag(e^{i theta n}), the generator is
+    |alpha| R (a^dag - a) R^dag, an identity that holds on the truncated grid
+    too.  So D(alpha) = R V e^{-i|alpha| w} V^dag R^dag, where (w, V) is the
+    eigendecomposition of i(a^dag - a), computed once per grid size and
+    cached.  The result is the exact matrix exponential of the truncated
+    generator and exactly unitary on the grid.  Large displacements relative
+    to the truncation are flagged: |alpha|^2 > n_max/4 leaves too little
+    headroom for the displaced populations to decay before the cutoff.
     """
     if mode == "c":
         dim, n_max = config.dim_c, config.n_max_c
@@ -365,11 +380,9 @@ def displacement(alpha: complex, mode: str, config: HilbertConfig) -> np.ndarray
             TruncationWarning,
             stacklevel=2,
         )
-    a = destroy(dim)
-    gen = alpha * a.conj().T - np.conj(alpha) * a  # anti-Hermitian
-    h = 1j * gen  # Hermitian
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    w, v, v_dag = _displacement_basis(dim)
+    rot = np.exp(1j * np.angle(alpha) * np.arange(dim))
+    return (rot[:, None] * v * np.exp(-1j * abs(alpha) * w)) @ (v_dag * rot.conj())
 
 
 # --------------------------------------------------------------------------
@@ -420,6 +433,28 @@ class StateSpec:
         return cls(kind="superposition", terms=tuple((int(a), int(b), complex(c)) for a, b, c in terms))
 
 
+def _pure_vector(spec: StateSpec, config: HilbertConfig) -> np.ndarray:
+    """Normalized state vector (length dim_vib) of a Fock, coherent or superposition recipe."""
+    if spec.kind == "fock":
+        psi = np.zeros(config.dim_vib, complex)
+        psi[config.vib_index(spec.n_c, spec.n_r)] = 1.0
+    elif spec.kind == "coherent":
+        vec_c = displacement(spec.alpha_c, "c", config)[:, 0]
+        vec_r = displacement(spec.alpha_r, "r", config)[:, 0]
+        psi = np.kron(vec_c, vec_r)
+    elif spec.kind == "superposition":
+        psi = np.zeros(config.dim_vib, complex)
+        for n_c, n_r, amp in spec.terms:
+            psi[config.vib_index(n_c, n_r)] += amp
+        nrm = np.linalg.norm(psi)
+        if nrm == 0:
+            raise ValueError("superposition has zero norm")
+        psi /= nrm
+    else:
+        raise ValueError(f"unknown state kind {spec.kind!r}")
+    return psi
+
+
 def make_vib_state(spec: StateSpec, config: HilbertConfig) -> VibDensity:
     """Build a vibrational density matrix from a recipe.
 
@@ -427,34 +462,15 @@ def make_vib_state(spec: StateSpec, config: HilbertConfig) -> VibDensity:
     weights, renormalized), coherent products, and pure superpositions of
     Fock pairs.  The result passes through the truncation guard.
     """
-    d = config.dim_vib
-    if spec.kind == "fock":
-        idx = config.vib_index(spec.n_c, spec.n_r)
-        m = np.zeros((d, d), complex)
-        m[idx, idx] = 1.0
-        rho = VibDensity(m, config)
-    elif spec.kind == "thermal":
+    if spec.kind == "thermal":
         w = np.outer(
             thermal_weights(spec.nbar_c, config.dim_c),
             thermal_weights(spec.nbar_r, config.dim_r),
-        ).reshape(d)
+        ).reshape(config.dim_vib)
         rho = VibDensity(np.diag(w).astype(complex), config)
-    elif spec.kind == "coherent":
-        vec_c = displacement(spec.alpha_c, "c", config)[:, 0]
-        vec_r = displacement(spec.alpha_r, "r", config)[:, 0]
-        psi = np.kron(vec_c, vec_r)
-        rho = VibDensity(np.outer(psi, psi.conj()), config)
-    elif spec.kind == "superposition":
-        psi = np.zeros(d, complex)
-        for n_c, n_r, amp in spec.terms:
-            psi[config.vib_index(n_c, n_r)] += amp
-        nrm = np.linalg.norm(psi)
-        if nrm == 0:
-            raise ValueError("superposition has zero norm")
-        psi /= nrm
-        rho = VibDensity(np.outer(psi, psi.conj()), config)
     else:
-        raise ValueError(f"unknown state kind {spec.kind!r}")
+        psi = _pure_vector(spec, config)
+        rho = VibDensity(np.outer(psi, psi.conj()), config)
     truncation_guard(rho)
     return rho
 
@@ -462,20 +478,18 @@ def make_vib_state(spec: StateSpec, config: HilbertConfig) -> VibDensity:
 def make_vib_vector(spec: StateSpec, config: HilbertConfig) -> np.ndarray:
     """Pure vibrational state vector (length dim_vib) for a pure recipe.
 
+    The overall phase makes the dominant amplitude real and positive.  The
+    vector passes through the truncation guard; no density matrix is formed.
     Thermal recipes are mixed and rejected; use make_vib_state for those.
     """
     if spec.kind == "thermal":
         raise ValueError("thermal states are mixed; no state vector exists")
-    rho = make_vib_state(spec, config)
-    idx = int(np.argmax(np.real(np.diag(rho.matrix))))
-    vec = rho.matrix[:, idx]
-    nrm = np.linalg.norm(vec)
-    if nrm == 0:  # pragma: no cover - unreachable for the pure recipes above
-        raise ValueError("state recipe produced an empty vector")
-    vec = vec / nrm
-    # fix the overall phase so the dominant amplitude is real positive
-    vec = vec * np.exp(-1j * np.angle(vec[idx]))
-    return vec
+    psi = _pure_vector(spec, config)
+    pops = (psi * psi.conj()).real
+    grid = pops.reshape(config.dim_c, config.dim_r)
+    _guard_top_levels(grid.sum(axis=1), grid.sum(axis=0))
+    vec = psi * np.conj(psi[int(np.argmax(pops))])
+    return vec / np.linalg.norm(vec)
 
 
 def basis_state(config: HilbertConfig, elec: int | str, n_c: int, n_r: int) -> JointState:
@@ -524,7 +538,10 @@ def truncation_guard(obj: JointState | VibDensity, tol: float = GUARD_TOL) -> fl
     Returns the worst offending occupancy.  Grids with fewer than three
     levels on a mode are skipped: there is no headroom to certify there.
     """
-    pc, pr = _mode_populations(obj)
+    return _guard_top_levels(*_mode_populations(obj), tol=tol)
+
+
+def _guard_top_levels(pc: np.ndarray, pr: np.ndarray, tol: float = GUARD_TOL) -> float:
     worst = 0.0
     for name, p in (("c.m.", pc), ("stretch", pr)):
         if p.size < 3:
@@ -536,6 +553,6 @@ def truncation_guard(obj: JointState | VibDensity, tol: float = GUARD_TOL) -> fl
                 f"top-two Fock levels of the {name} mode hold population "
                 f"{top:.3g} (> {tol:g}); enlarge the truncation",
                 TruncationWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
     return worst

@@ -16,12 +16,14 @@ recovered populations then gives one point of the two-mode Wigner function
     W(alpha_c, alpha_r) = (4/pi^2) sum (-1)^{n_c+n_r} Pi_{n_c n_r}(-alpha_c, -alpha_r),
 
 normalized so the vacuum origin reads 4/pi^2.  wigner_direct computes the
-same value from the exact displaced state and serves as the oracle for the
-full simulated protocol.
+same value from the exact displaced populations and serves as the oracle for
+the full simulated protocol.
 
 The cos^2 designs depend only on the drive, the tau grid and the grid
-sizes, so protocol_run builds them once per run and then draws and solves
-each displacement point in turn.
+sizes, so protocol_run builds them once per run.  Each displacement point is
+then displaced once: displaced_populations forms only the diagonal of
+U^dag rho U, and those populations feed both the drawn record, which is
+solved, and the exact Wigner value returned next to the estimate.
 """
 
 from __future__ import annotations
@@ -170,10 +172,16 @@ class WignerPoint:
 
 @dataclass(frozen=True)
 class ProtocolPoint:
-    """One displacement point of the full protocol: Wigner value + fit."""
+    """One displacement point of the full protocol: Wigner value + fit.
+
+    ``w_exact`` is the exact Wigner value at the same point (what
+    wigner_direct returns), computed from the displaced populations that
+    fed the simulated signal.
+    """
 
     wigner: WignerPoint
     estimate: PopulationEstimate
+    w_exact: float
 
 
 @dataclass(frozen=True)
@@ -210,6 +218,20 @@ def displace_vib(rho: VibDensity, alpha_c: complex, alpha_r: complex) -> VibDens
     return VibDensity(u.conj().T @ rho.matrix @ u, rho.config)
 
 
+def displaced_populations(rho: VibDensity, alpha_c: complex, alpha_r: complex) -> np.ndarray:
+    """Fock populations of displace_vib(rho, alpha_c, alpha_r) as a real (dim_c, dim_r) grid.
+
+    Only the diagonal of U^dag rho U is formed, Pi_j = sum_i conj(U_ij)
+    (rho U)_ij with U = D_c(alpha_c) (x) D_r(alpha_r): one dim_vib^3 product
+    where displace_vib takes two.
+    """
+    cfg = rho.config
+    dc = displacement(alpha_c, "c", cfg)
+    dr = displacement(alpha_r, "r", cfg)
+    u = (dc[:, None, :, None] * dr[None, :, None, :]).reshape(cfg.dim_vib, cfg.dim_vib)
+    return np.sum(u.conj() * (rho.matrix @ u), axis=0).real.reshape(cfg.dim_c, cfg.dim_r)
+
+
 def synth_signal(
     rho: VibDensity,
     taus,
@@ -225,14 +247,14 @@ def synth_signal(
     """
     taus = np.asarray(taus, dtype=float)
     a = design_matrix(_fit_frequencies(p, rho.config.n_max_c, rho.config.n_max_r), taus)
-    return _draw(a, rho, taus, p, shots, seed)
+    return _draw(a, rho.populations(), taus, p, shots, seed)
 
 
-def _draw(a: np.ndarray, rho: VibDensity, taus: np.ndarray, p: BichromaticParams, shots: int, seed: int) -> SignalRecord:
-    """One record of ``rho`` through ``a``, the cos^2 design on its full Fock grid."""
+def _draw(a: np.ndarray, pops: np.ndarray, taus: np.ndarray, p: BichromaticParams, shots: int, seed: int) -> SignalRecord:
+    """One record of the Fock populations ``pops`` through ``a``, the cos^2 design on their full grid."""
     if shots < 0:
         raise ValueError("shots must be >= 0")
-    probs = np.clip(a @ rho.populations().ravel(), 0.0, 1.0)
+    probs = np.clip(a @ pops.ravel(), 0.0, 1.0)
     if shots == 0:
         return SignalRecord(taus=taus, p_dd=probs, shots=np.zeros(taus.size, int), params=p, seed=seed)
     drawn = np.empty(taus.size)
@@ -318,9 +340,13 @@ def _parity_signs(shape: tuple[int, int]) -> np.ndarray:
     return (-1.0) ** (nc + nr)
 
 
+def _parity_sum(pops: np.ndarray) -> float:
+    return float(WIGNER_BOUND * np.sum(_parity_signs(pops.shape) * pops))
+
+
 def wigner_from_populations(est: PopulationEstimate) -> float:
     """(4/pi^2) sum (-1)^{n_c+n_r} Pi over the fitted grid."""
-    return float(WIGNER_BOUND * np.sum(_parity_signs(est.pi.shape) * est.pi))
+    return _parity_sum(est.pi)
 
 
 def wigner_direct(rho: VibDensity, alpha_c: complex, alpha_r: complex) -> float:
@@ -330,8 +356,7 @@ def wigner_direct(rho: VibDensity, alpha_c: complex, alpha_r: complex) -> float:
     exact displaced populations; the oracle the simulated protocol is
     scored against.
     """
-    pops = displace_vib(rho, alpha_c, alpha_r).populations()
-    return float(WIGNER_BOUND * np.sum(_parity_signs(pops.shape) * pops))
+    return _parity_sum(displaced_populations(rho, alpha_c, alpha_r))
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +380,11 @@ def protocol_run(
     Fit-grid sizes default to n_max - 2 per mode and may not exceed that
     (the topmost levels carry truncation error).  Both designs depend only
     on the drive, the tau grid and the grid sizes, so they are built once
-    per run.  Point idx uses the substream (seed, idx), so each point equals
-    displace_vib -> synth_signal -> invert_populations bit for bit.
+    per run.  Each point is displaced once; its populations feed both the
+    simulated signal and the exact Wigner value ``w_exact``.  Point idx uses
+    the substream (seed, idx), so each estimate equals displace_vib ->
+    synth_signal -> invert_populations up to the last digits of the
+    displaced populations.
     """
     cfg = rho.config
     if n_fit_c is None:
@@ -377,10 +405,11 @@ def protocol_run(
     points = []
     for idx, (alpha_c, alpha_r) in enumerate(alphas):
         point_seed = int(np.random.SeedSequence((seed, idx)).generate_state(1)[0])
-        record = _draw(synth, displace_vib(rho, alpha_c, alpha_r), taus, p, shots, point_seed)
+        pops = displaced_populations(rho, alpha_c, alpha_r)
+        record = _draw(synth, pops, taus, p, shots, point_seed)
         est = _solve(fit, cond, record.p_dd, (n_fit_c + 1, n_fit_r + 1), ridge)
         w = wigner_from_populations(est)
-        points.append(ProtocolPoint(wigner=WignerPoint(alpha_c, alpha_r, w), estimate=est))
+        points.append(ProtocolPoint(wigner=WignerPoint(alpha_c, alpha_r, w), estimate=est, w_exact=_parity_sum(pops)))
     return points
 
 

@@ -346,6 +346,43 @@ def test_effective_modes_run_at_the_top_of_the_grid(tmp_path, mode, extra):
     assert peak < 64e6
 
 
+def test_effective_evolve_forms_no_density_matrix(tmp_path):
+    # a dim_vib x dim_vib density matrix at grid (40, 40) alone is 45 MB
+    extra = "[state]\nkind = coherent\nalpha_c_re = 1.5\nalpha_r_im = 0.8\n[evolve]\nt = 3000\nsamples = 20\nengine = effective\n"
+    cfg = _write(tmp_path, _top_grid_cfg("evolve", extra))
+    tracemalloc.start()
+    try:
+        code = main(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8e6
+
+
+def test_wigner_displaces_each_point_once(tmp_path, monkeypatch):
+    import vibronic.fockspace as fockspace
+    import vibronic.tomography as tomography
+
+    calls = []
+    real = fockspace.displacement
+
+    def counting(alpha, mode, config):
+        calls.append(mode)
+        return real(alpha, mode, config)
+
+    monkeypatch.setattr(fockspace, "displacement", counting)
+    monkeypatch.setattr(tomography, "displacement", counting)
+    counts = {}
+    for n_points in (1, 7):
+        calls.clear()
+        text = WIGNER_CFG.replace("alpha_c_line = 0.0, 0.6, 5", f"alpha_c_line = 0.0, 0.6, {n_points}")
+        args = ["--config", _write(tmp_path, text), "--out", str(tmp_path / f"out{n_points}"), "--quiet"]
+        assert main(args) == 0
+        counts[n_points] = len(calls)
+    assert counts == {1: 2, 7: 14}
+
+
 def test_effective_evolve_warns_on_marginal_detuning(tmp_path):
     text = (
         "mode = evolve\n[hilbert]\nn_max_c = 4\nn_max_r = 1\n[modes]\neta = 0.1\n"

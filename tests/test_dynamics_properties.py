@@ -1,4 +1,7 @@
-"""Property test: propagate_bichromatic against the dense oracle on random drives."""
+"""Property tests: propagate_bichromatic against the dense oracle on random
+drives, and the SignalRecord text format on random records."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from vibronic import (
     propagate_bichromatic,
     propagate_timedep,
 )
+from vibronic.tomography import SignalRecord
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -52,3 +56,58 @@ def test_engine_matches_oracle_on_random_drives(
     ref = propagate_timedep(lambda s: build_bichromatic_H(s, p, config), psi0, t, dt_max=DT)
     assert abs(out.norm() - 1.0) < 1e-12
     assert np.abs(out.amps - ref.amps).max() < (1e-6 if k + k_prime else 1e-11)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _param_bits(p: BichromaticParams) -> tuple:
+    m = p.modes
+    floats = (p.delta, p.delta_prime, p.omega.real, p.omega.imag, p.phi, p.phi0, m.eta, m.eta_r, m.nu)
+    return (p.k, p.k_prime) + tuple(_bits(x) for x in floats)
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_positive = st.floats(1e-6, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(
+    k=st.integers(0, 4),
+    k_prime=st.integers(0, 4),
+    delta=st.floats(-0.2, 0.2),
+    delta_prime=st.floats(-0.2, 0.2),
+    omega_re=_finite,
+    omega_im=_finite,
+    phi=_finite,
+    phi0=_finite,
+    eta=_positive,
+    eta_r=_positive,
+    nu=st.floats(1.0, 1e3),
+    seed=st.integers(0, 2**63),
+    taus=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=12, unique=True).map(sorted),
+    noisy=st.booleans(),
+    data=st.data(),
+)
+def test_signal_record_text_round_trip_is_exact(
+    k, k_prime, delta, delta_prime, omega_re, omega_im, phi, phi0, eta, eta_r, nu, seed, taus, noisy, data
+):
+    p = BichromaticParams(
+        k=k, k_prime=k_prime, delta=delta, delta_prime=delta_prime, omega=complex(omega_re, omega_im),
+        phi=phi, phi0=phi0, modes=ModeParams(eta=eta, eta_r=eta_r, nu=nu),
+    )
+    n = len(taus)
+    if noisy:
+        shots = data.draw(st.integers(1, 10**6))
+        counts = data.draw(st.lists(st.integers(0, shots), min_size=n, max_size=n))
+        p_dd, shots = np.array(counts) / shots, np.full(n, shots)
+    else:
+        p_dd, shots = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))), np.zeros(n, int)
+    rec = SignalRecord(taus=np.array(taus), p_dd=p_dd, shots=shots, params=p, seed=seed)
+    back = SignalRecord.from_text(rec.to_text())
+    for name in ("taus", "p_dd", "shots"):
+        a, b = getattr(rec, name), getattr(back, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert _param_bits(back.params) == _param_bits(rec.params)
+    assert back.seed == rec.seed

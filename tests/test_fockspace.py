@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.special import eval_genlaguerre
 
 from vibronic.fockspace import (
@@ -14,6 +15,7 @@ from vibronic.fockspace import (
     coupling_f,
     coupling_f_grid,
     density_defects,
+    destroy,
     displacement,
     fidelity,
     laguerre,
@@ -196,6 +198,21 @@ def test_displacement_unitary_and_inverse():
     assert np.max(np.abs(d @ dm - np.eye(cfg.dim_c))) < 1e-9
 
 
+@pytest.mark.parametrize("dim", [1, 2, 5, 21])
+def test_displacement_equals_expm_on_whole_grid(dim):
+    # the phase-rotated cached eigenbasis against scipy's expm of the
+    # truncated generator, every entry up to and including the cutoff
+    cfg = HilbertConfig(n_max_c=dim - 1, n_max_r=0)
+    a = destroy(dim)
+    for alpha in (0.0, 0.7 + 0.4j, -0.3 + 1.1j, -0.9 - 0.2j, 0.5 - 0.8j, 1.3, -0.6j):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            d = displacement(alpha, "c", cfg)
+        want = expm(alpha * a.T - np.conj(alpha) * a)
+        assert np.abs(d - want).max() < 1e-12
+        assert np.abs(d @ d.conj().T - np.eye(dim)).max() < 1e-12
+
+
 def test_displacement_truncation_warning():
     cfg = HilbertConfig(n_max_c=4, n_max_r=4)
     with pytest.warns(TruncationWarning):
@@ -323,6 +340,18 @@ def test_make_vib_vector_matches_density():
         rho = make_vib_state(spec, cfg)
         assert np.abs(np.outer(vec, vec.conj()) - rho.matrix).max() < 1e-12
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_make_vib_vector_phase_and_guard():
+    cfg = HilbertConfig(n_max_c=8, n_max_r=7)
+    vec = make_vib_vector(StateSpec.superposition([(0, 0, 0.6j), (2, 1, -0.8j)]), cfg)
+    dominant = vec[cfg.vib_index(2, 1)]
+    assert dominant.imag == 0.0 and dominant.real == pytest.approx(0.8, abs=1e-15)
+    assert vec[0] == pytest.approx(-0.6, abs=1e-15)
+    with pytest.warns(TruncationWarning):
+        make_vib_vector(StateSpec.fock(8, 0), cfg)
+    with pytest.warns(TruncationWarning):
+        make_vib_vector(StateSpec.coherent(0.0, 1.6), cfg)
 
 
 def test_make_vib_vector_rejects_thermal():

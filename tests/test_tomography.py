@@ -20,6 +20,7 @@ from vibronic import (
     condition_report,
     default_tau_grid,
     displace_vib,
+    displaced_populations,
     invert_populations,
     make_vib_state,
     protocol_run,
@@ -29,7 +30,7 @@ from vibronic import (
     wigner_from_populations,
 )
 from vibronic.dynamics import HermitianPropagator
-from vibronic.fockspace import basis_state
+from vibronic.fockspace import TruncationWarning, VibDensity, basis_state
 
 MODES = ModeParams(eta=0.23)
 DRIVE = BichromaticParams.symmetric(k=1, delta=0.02, omega=0.05, modes=MODES)
@@ -95,6 +96,34 @@ def test_displace_then_inverse_restores_input():
     out = displace_vib(displace_vib(rho, 0.6, -0.3j), -0.6, 0.3j)
     assert np.abs(out.matrix - rho.matrix).max() < 1e-8
     assert abs(out.trace() - 1.0) < 1e-8
+
+
+def _random_density(config, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(config.dim_vib, config.dim_vib)) + 1j * rng.normal(size=(config.dim_vib, config.dim_vib))
+    m = g @ g.conj().T
+    return VibDensity(m / np.trace(m).real, config)
+
+
+@pytest.mark.parametrize("grid", [(9, 3), (3, 9), (12, 0), (0, 5), (6, 6)])
+def test_displaced_populations_match_displace_vib(grid):
+    config = HilbertConfig(*grid)
+    top = (min(2, grid[0]), min(1, grid[1]))
+    points = [(0.0, 0.0), (0.4 + 0.3j, -0.2 + 0.5j), (-0.7j, 0.3), (-0.5 - 0.1j, -0.4 - 0.4j)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        states = [
+            make_vib_state(StateSpec.fock(*top), config),
+            make_vib_state(StateSpec.thermal(0.4, 0.2), config),
+            make_vib_state(StateSpec.coherent(0.3 - 0.2j, 0.1j), config),
+            make_vib_state(StateSpec.superposition([(0, 0, 1.0), (*top, 0.5 - 1.0j)]), config),
+            _random_density(config, sum(grid)),
+        ]
+        for rho in states:
+            for ac, ar in points:
+                pops = displaced_populations(rho, ac, ar)
+                assert pops.shape == (config.dim_c, config.dim_r)
+                assert np.abs(pops - displace_vib(rho, ac, ar).populations()).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +343,15 @@ def test_protocol_builds_design_once_per_run(monkeypatch):
         protocol_run(vacuum(), grid, taus, DRIVE, shots=100, n_fit_c=10, n_fit_r=2)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_protocol_returns_exact_parity_value():
+    config = HilbertConfig(n_max_c=12, n_max_r=4)
+    rho = make_vib_state(StateSpec.superposition([(0, 0, 1.0), (2, 1, 0.4 - 0.7j)]), config)
+    grid = [(0.0, 0.0), (0.3 - 0.2j, 0.1j), (-0.5, 0.2 + 0.2j)]
+    taus = default_tau_grid(DRIVE, 10, 2)
+    for pt, (ac, ar) in zip(protocol_run(rho, grid, taus, DRIVE, shots=300, n_fit_c=10, n_fit_r=2), grid):
+        assert abs(pt.w_exact - wigner_direct(rho, ac, ar)) <= 1e-15
 
 
 def test_protocol_rms_error_halves_with_quadrupled_shots():
