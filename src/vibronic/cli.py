@@ -397,7 +397,7 @@ def _read_alphas(reader: _Reader) -> tuple[tuple[complex, complex], ...]:
     start, stop, count = line[0]
     if count != int(count) or count < 1:
         raise ConfigError("'wigner.alpha_c_line' count must be a positive integer")
-    return tuple((complex(a), 0j) for a in np.linspace(start, stop, int(count)))
+    return tuple((complex(a), 0j) for a in _linspace(start, stop, int(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +420,18 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
+def _linspace(start: float, stop: float, count: int) -> np.ndarray:
+    """np.linspace, reporting a count beyond numpy's array size limit as MemoryError."""
+    try:
+        return np.linspace(start, stop, count)
+    except (ValueError, IndexError):  # numpy rejects the size before allocating
+        raise MemoryError(f"{count} points exceed the largest array numpy can index") from None
+
+
 def _tau_grid(config: RunConfig) -> np.ndarray:
     span = config.tau_max or default_tau_grid(config.drive, config.n_fit_c, config.n_fit_r)[-1]
     count = config.tau_count or 4 * (config.n_fit_c + 1) * (config.n_fit_r + 1)
-    return np.linspace(0.0, span, count)
+    return _linspace(0.0, span, count)
 
 
 # ---------------------------------------------------------------------------

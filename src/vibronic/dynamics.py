@@ -12,14 +12,17 @@ Two laser configurations are covered:
   M2 = Omega e^{i phi} W (i eta)^{k'} F_{k'} a^{k'}, where
   W = S+_1 e^{i phi0/2} + S+_2 e^{-i phi0/2} acts on the electronic pair
   and F_k is the diagonal vibrational coupling (see fockspace.coupling_f).
-  The stretch-mode Fock number is exactly conserved by this drive.
-  With a sideband tone (k + k' > 0) propagate_bichromatic solves it
-  exactly (BichromaticAction): in the frame rotating with
-  eps N_e + theta N_c the drive is static, and its generator splits into
-  small sector blocks that are diagonalised once.  Two carrier tones
-  (k = k' = 0) run on the sparse midpoint stepper of _kernels.
-  propagate_timedep, a dense midpoint integrator of any H(t), is the
-  independent oracle.
+  The stretch mode enters only through f_k(n_c, n_r) = f_k(n_c, 0) s(n_r),
+  s(n_r) = L_{n_r}(eta_r^2), so M1 and M2 are kron(M_cm, diag s) with M_cm
+  on the electronic x c.m. space, and n_r is conserved.  With a sideband
+  tone (k + k' > 0) propagate_bichromatic solves the drive exactly
+  (BichromaticAction): it is static in the frame rotating with
+  eps N_e + theta N_c, and its generator splits into sector blocks
+  s(n_r) (B + B^dag) - G cut from the c.m. matrices.  Two carrier tones
+  (k = k' = 0), both Omega e^{i phi} kron(W, diag f_0), run on the sparse
+  midpoint stepper of _kernels.  No run path forms a joint-space matrix;
+  build_bichromatic_H with propagate_timedep, a dense midpoint integrator
+  of any H(t), is the independent oracle.
 
 * the same pair of beams tuned on the carrier (no sideband), giving the
   time-independent H = kron(C + C^dag, diag(|Omega| f_0)) with
@@ -48,7 +51,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +63,7 @@ from .fockspace import (
     coupling_f,
     coupling_f_grid,
     destroy,
+    laguerre_seq,
 )
 
 
@@ -99,7 +103,7 @@ class BichromaticParams:
     omega: complex
     phi: float
     phi0: float
-    modes: ModeParams = field(default_factory=ModeParams)
+    modes: ModeParams
 
     def __post_init__(self):
         object.__setattr__(self, "k", _check_int("k", self.k))
@@ -115,18 +119,9 @@ class BichromaticParams:
             )
 
     @classmethod
-    def symmetric(cls, k, delta, omega, phi=0.0, phi0=0.0, modes=None):
+    def symmetric(cls, k, delta, omega, phi=0.0, phi0=0.0, *, modes):
         """Same sideband order and detuning on both beams (the Bell-state case)."""
-        return cls(
-            k=k,
-            k_prime=k,
-            delta=delta,
-            delta_prime=delta,
-            omega=omega,
-            phi=phi,
-            phi0=phi0,
-            modes=modes if modes is not None else ModeParams(),
-        )
+        return cls(k=k, k_prime=k, delta=delta, delta_prime=delta, omega=omega, phi=phi, phi0=phi0, modes=modes)
 
     @property
     def symmetric_drive(self) -> bool:
@@ -145,7 +140,7 @@ class CarrierParams:
     omega: complex
     varphi: float
     varphi0: float
-    modes: ModeParams = field(default_factory=ModeParams)
+    modes: ModeParams
 
     def __post_init__(self):
         object.__setattr__(self, "omega", complex(self.omega))
@@ -238,29 +233,27 @@ def rabi_spectrum(p: BichromaticParams, n_max_c: int, n_max_r: int) -> RabiSpect
 
 
 def _drive_blocks(p: BichromaticParams, config: HilbertConfig):
-    """Dense M1 (upper-sideband term) and M2 (lower) on the joint space."""
+    """M1 (upper-sideband term) and M2 (lower) on the electronic x c.m. space,
+    and the stretch factor s: the joint-space terms are kron(M, diag s)."""
     eta = p.modes.eta
     wmat = p.omega * np.exp(1j * p.phi) * _pair_raise(p.phi0)
     a_c = destroy(config.dim_c)
-    eye_r = np.eye(config.dim_r)
     up_k = np.linalg.matrix_power(a_c.conj().T, p.k)
     dn_k = np.linalg.matrix_power(a_c, p.k_prime)
-    f_up = np.diag(coupling_f_grid(config.n_max_c, config.n_max_r, p.k, p.modes).ravel())
-    f_dn = np.diag(coupling_f_grid(config.n_max_c, config.n_max_r, p.k_prime, p.modes).ravel())
-    g1 = (1j * eta) ** p.k * np.kron(up_k, eye_r) @ f_up
-    g2 = (1j * eta) ** p.k_prime * f_dn @ np.kron(dn_k, eye_r)
-    return np.kron(wmat, g1), np.kron(wmat, g2)
-
-
-def _drive_at(m1: np.ndarray, m2: np.ndarray, p: BichromaticParams, t: float) -> np.ndarray:
-    h = m1 * np.exp(1j * p.delta * t) + m2 * np.exp(-1j * p.delta_prime * t)
-    return h + h.conj().T
+    f_up = coupling_f_grid(config.n_max_c, 0, p.k, p.modes)[:, 0]
+    f_dn = coupling_f_grid(config.n_max_c, 0, p.k_prime, p.modes)[:, 0]
+    g1 = (1j * eta) ** p.k * up_k * f_up
+    g2 = (1j * eta) ** p.k_prime * f_dn[:, None] * dn_k
+    s = laguerre_seq(config.n_max_r, 0, p.modes.eta_r**2)
+    return np.kron(wmat, g1), np.kron(wmat, g2), s
 
 
 def build_bichromatic_H(t: float, p: BichromaticParams, config: HilbertConfig) -> np.ndarray:
     """Instantaneous dense H(t) of the bichromatic drive (for checks and
     the dense oracle propagate_timedep)."""
-    return _drive_at(*_drive_blocks(p, config), p, t)
+    m1, m2, s = _drive_blocks(p, config)
+    h = m1 * np.exp(1j * p.delta * t) + m2 * np.exp(-1j * p.delta_prime * t)
+    return np.kron(h + h.conj().T, np.diag(s))
 
 
 def effective_factors(p: BichromaticParams, config: HilbertConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -426,9 +419,11 @@ class BichromaticAction:
     n_c by k', so conjugating with V multiplies them by e^{i (eps + k theta) t}
     and e^{i (eps - k' theta) t}, and theta = -(delta + delta') / (k + k'),
     eps = delta' + k' theta cancel both tones' time dependence.  The static
-    generator H' = M1 + M2 + h.c. - G keeps n_r and (k' N_e + n_c) mod (k + k')
-    fixed, so it is cut into one block per label pair and each block is
-    diagonalised once; H' is never formed on the whole space.
+    generator H' = kron(B + B^dag, diag s) - G, B = M1 + M2 on the
+    electronic x c.m. space, keeps n_r and (k' N_e + n_c) mod (k + k')
+    fixed.  So each residue's block of B is cut once, and at every n_r the
+    block s(n_r) (B + B^dag) - G is diagonalised (one stacked eigh per
+    residue); no joint-space matrix is formed.
     """
 
     def __init__(self, p: BichromaticParams, config: HilbertConfig):
@@ -437,24 +432,27 @@ class BichromaticAction:
             raise ValueError("two carrier tones (k = k' = 0) have no static frame")
         theta = -(p.delta + p.delta_prime) / order
         eps = p.delta_prime + p.k_prime * theta
-        n_e, n_c, n_r = np.indices((4, config.dim_c, config.dim_r)).reshape(3, -1)
+        n_e, n_c = np.indices((4, config.dim_c)).reshape(2, -1)
         n_e = np.array([0, 1, 1, 2])[n_e]
-        self.frame = eps * n_e + theta * n_c  # diagonal of G
-        raising, m2 = _drive_blocks(p, config)
-        raising += m2
-        label = n_r * order + (p.k_prime * n_e + n_c) % order
-        self.sectors = []  # (joint indices, eigenvalues, eigenvectors) of each block of H'
+        self.frame = eps * n_e + theta * n_c  # diagonal of G on the electronic x c.m. space
+        m1, m2, s = _drive_blocks(p, config)
+        raising = m1 + m2
+        label = (p.k_prime * n_e + n_c) % order
+        self.sectors = []  # (c.m. indices, eigenvalues, eigenvectors) per residue, stacked over n_r
         for value in np.unique(label):
             idx = np.flatnonzero(label == value)
             block = raising[np.ix_(idx, idx)]
-            self.sectors.append((idx, *np.linalg.eigh(block + block.conj().T - np.diag(self.frame[idx]))))
+            block = s[:, None, None] * (block + block.conj().T) - np.diag(self.frame[idx])
+            self.sectors.append((idx, *np.linalg.eigh(block)))
 
     def propagate(self, psi: np.ndarray, t: float) -> np.ndarray:
         """e^{-i G t} e^{-i H' t} psi, the state at time t in the lab frame."""
-        out = np.empty(psi.shape, dtype=np.complex128)
+        x = psi.reshape(self.frame.size, -1)
+        out = np.empty(x.shape, dtype=np.complex128)
         for idx, evals, evecs in self.sectors:
-            out[idx] = evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ psi[idx]))
-        return np.exp(-1j * self.frame * t) * out
+            coef = evecs.conj().swapaxes(1, 2) @ x[idx].T[:, :, None]
+            out[idx] = (evecs @ (np.exp(-1j * evals * t)[:, :, None] * coef))[:, :, 0].T
+        return (np.exp(-1j * self.frame * t)[:, None] * out).ravel()
 
 
 @functools.lru_cache(maxsize=1)
@@ -464,27 +462,26 @@ def _action(p: BichromaticParams, config: HilbertConfig) -> BichromaticAction:
 
 
 def _step_carrier_tones(p: BichromaticParams, config: HilbertConfig, psi: np.ndarray, t: float, dt_max: float) -> np.ndarray:
-    """The k = k' = 0 drive on the sparse midpoint stepper, steps of at most dt_max."""
+    """The k = k' = 0 drive on the sparse midpoint stepper, steps of at most dt_max.
+
+    Both tones are M = Omega e^{i phi} kron(W, diag f_0), so the COO entries
+    of M (twice) and M^dag (twice) are the four entries of W repeated over
+    the levels, and ||H(t)|| <= 8 |Omega| max|f_0|.
+    """
     if t == 0:
         return psi.astype(np.complex128, copy=True)
-    m1, m2 = _drive_blocks(p, config)
-    rows, cols, vals, groups = [], [], [], []
-    for g, mat in enumerate((m1, m2, m1.conj().T, m2.conj().T)):
-        r, c = np.nonzero(mat)
-        rows.append(r)
-        cols.append(c)
-        vals.append(mat[r, c])
-        groups.append(np.full(r.size, g, dtype=np.int64))
-    # cheap uniform-in-time bound ||H(t)|| <= sqrt(||.||_1 ||.||_inf) summed
-    bound = 0.0
-    for mat in (m1, m2):
-        am = np.abs(mat)
-        bound += 2.0 * math.sqrt(am.sum(axis=0).max() * am.sum(axis=1).max())
+    wmat = p.omega * np.exp(1j * p.phi) * _pair_raise(p.phi0)
+    f0 = coupling_f_grid(config.n_max_c, config.n_max_r, 0, p.modes).ravel()
+    level = np.arange(config.dim_vib)
+    r, c = np.nonzero(wmat)
+    rows, cols = (r[:, None] * config.dim_vib + level).ravel(), (c[:, None] * config.dim_vib + level).ravel()
+    vals = (wmat[r, c][:, None] * f0).ravel()
     n_steps = max(1, int(math.ceil(abs(t) / dt_max)))
     dt = t / n_steps
-    m_sub = max(1, int(math.ceil(abs(dt) * bound / 0.9)))
+    m_sub = max(1, int(math.ceil(abs(dt) * 8.0 * abs(p.omega) * np.abs(f0).max() / 0.9)))
     return _kernels.propagate_coo(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), np.concatenate(groups),
+        np.concatenate([rows, rows, cols, cols]), np.concatenate([cols, cols, rows, rows]),
+        np.concatenate([vals, vals, vals.conj(), vals.conj()]), np.repeat(np.arange(4), vals.size),
         p.delta, p.delta_prime, psi, dt, n_steps, m_sub,
     )
 

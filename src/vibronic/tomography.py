@@ -72,6 +72,9 @@ class SignalRecord:
         shots = np.asarray(self.shots, dtype=int)
         if not (taus.shape == p_dd.shape == shots.shape) or taus.ndim != 1:
             raise ValueError("taus, p_dd and shots must be 1-d arrays of equal length")
+        for name, values in (("taus", taus), ("p_dd", p_dd)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} values must be finite")
         if taus.size > 1 and not np.all(np.diff(taus) > 0):
             raise DegeneracyError("taus must be strictly increasing (degenerate sampling grid)")
         if np.any((p_dd < 0) | (p_dd > 1)):

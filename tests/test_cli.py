@@ -304,15 +304,36 @@ def no_huge_linspace(monkeypatch):
     monkeypatch.setattr(np, "linspace", guarded)
 
 
-def test_oversized_alpha_line_is_config_error(tmp_path, capsys, no_huge_linspace):
-    text = WIGNER_CFG.replace("alpha_c_line = 0.0, 0.6, 5", "alpha_c_line = -0.3, 0.3, 1e12")
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_signal_sample_is_run_error(tmp_path, capsys, value):
+    assert main(["--config", _write(tmp_path, SYNTH_CFG), "--out", str(tmp_path / "sig"), "--quiet"]) == 0
+    signal = tmp_path / "sig" / "signal.csv"
+    lines = signal.read_text().splitlines()
+    tau, _, shots = lines[-1].split(",")
+    lines[-1] = f"{tau},{value},{shots}"
+    signal.write_text("\n".join(lines) + "\n")
+    invert_cfg = SYNTH_CFG.replace("mode = tomo-synth", "mode = tomo-invert") + f"signal_file = {signal}\n"
+    assert main(["--config", _write(tmp_path, invert_cfg, "inv.cfg"), "--out", str(tmp_path / "pop")]) == 3
+    assert capsys.readouterr().err == "error: p_dd values must be finite\n"
+
+
+# 1e12 would be allocated, so the fixture stands in for numpy there; numpy
+# rejects the larger counts itself (ValueError or IndexError) before allocating
+@pytest.mark.parametrize("count", ["1e12", "1e19", "1e308", "9223372036854775808"])
+def test_oversized_alpha_line_is_config_error(tmp_path, capsys, request, count):
+    if count == "1e12":
+        request.getfixturevalue("no_huge_linspace")
+    text = WIGNER_CFG.replace("alpha_c_line = 0.0, 0.6, 5", f"alpha_c_line = -0.3, 0.3, {count}")
     assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: out of memory") and err.count("\n") == 1
 
 
-def test_oversized_tau_grid_is_run_error(tmp_path, capsys, no_huge_linspace):
-    text = SYNTH_CFG + "tau_count = 1000000000000\n"
+@pytest.mark.parametrize("count", ["1000000000000", "9223372036854775807", "10000000000000000000"])
+def test_oversized_tau_grid_is_run_error(tmp_path, capsys, request, count):
+    if count == "1000000000000":
+        request.getfixturevalue("no_huge_linspace")
+    text = SYNTH_CFG + f"tau_count = {count}\n"
     assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and err.count("\n") == 1
@@ -344,6 +365,19 @@ def test_effective_modes_run_at_the_top_of_the_grid(tmp_path, mode, extra):
         tracemalloc.stop()
     assert code == 0
     assert peak < 64e6
+
+
+def test_exact_bell_phi_runs_at_the_top_of_the_grid(tmp_path):
+    # the sector eigenvectors alone take about 9 MB here; a joint-space matrix is 723 MB
+    cfg = _write(tmp_path, _top_grid_cfg("bell-phi", "[bell]\nengine = exact\n"))
+    tracemalloc.start()
+    try:
+        code = main(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 32e6
 
 
 def test_effective_evolve_forms_no_density_matrix(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for drive Hamiltonians, propagators and closed-form evolutions."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from vibronic import (
     AdiabaticityWarning,
+    BichromaticAction,
     BichromaticParams,
     CarrierParams,
     ConvergenceWarning,
@@ -246,6 +248,76 @@ def test_bichromatic_H_hermitian_and_stretch_conserving():
         assert np.abs(h - h.conj().T).max() < 1e-15
         # no stretch-mode ladder operators anywhere in the drive
         assert np.abs(h @ ops.n_r - ops.n_r @ h).max() < 1e-15
+
+
+def _operator_algebra_H(t, p, config):
+    """H(t) from joint-space ladder operators and per-cell f_k(n_c, n_r), with no stretch-factor split."""
+    ops = mode_operators(config)
+    raise_one = np.array([[0.0, 0.0], [1.0, 0.0]])  # |u><d| of a single ion
+    w = np.exp(0.5j * p.phi0) * np.kron(raise_one, np.eye(2)) + np.exp(-0.5j * p.phi0) * np.kron(np.eye(2), raise_one)
+    w = np.kron(w, np.eye(config.dim_vib))
+
+    def f(k):
+        cells = [coupling_f(n_c, n_r, k, p.modes) for n_c in range(config.dim_c) for n_r in range(config.dim_r)]
+        return np.diag(np.tile(cells, 4))
+
+    eta = p.modes.eta
+    upper = (1j * eta) ** p.k * np.linalg.matrix_power(ops.a_dag, p.k) @ f(p.k)
+    lower = (1j * eta) ** p.k_prime * f(p.k_prime) @ np.linalg.matrix_power(ops.a, p.k_prime)
+    h = p.omega * np.exp(1j * p.phi) * w @ (upper * np.exp(1j * p.delta * t) + lower * np.exp(-1j * p.delta_prime * t))
+    return h + h.conj().T
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k_prime", [0, 1, 2])
+def test_bichromatic_H_matches_operator_algebra(k, k_prime):
+    config = HilbertConfig(n_max_c=4, n_max_r=3)
+    p = BichromaticParams(
+        k=k, k_prime=k_prime, delta=0.07, delta_prime=-0.04, omega=0.05 * np.exp(-1.2j),
+        phi=0.6, phi0=-1.1, modes=ModeParams(eta=0.2, eta_r=0.3),
+    )
+    for t in (2.3, -7.9):
+        assert np.abs(build_bichromatic_H(t, p, config) - _operator_algebra_H(t, p, config)).max() < 1e-14
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sector_build_forms_no_joint_space_matrix():
+    # grid (20, 20) is dim 1764: one dense joint-space matrix alone is 50 MB
+    config = HilbertConfig(n_max_c=20, n_max_r=20)
+    p = BichromaticParams.symmetric(k=1, delta=0.06, omega=0.03, modes=ModeParams(eta=0.1))
+    assert _traced_peak(lambda: BichromaticAction(p, config)) < 8e6
+
+
+def test_carrier_tones_stepper_forms_no_joint_space_matrix():
+    config = HilbertConfig(n_max_c=20, n_max_r=20)
+    p = BichromaticParams(
+        k=0, k_prime=0, delta=0.05, delta_prime=0.02, omega=0.04 * np.exp(0.3j),
+        phi=-0.2, phi0=0.7, modes=ModeParams(eta=0.2),
+    )
+    psi0 = basis_state(config, "dd", 0, 0)
+    assert _traced_peak(lambda: propagate_bichromatic(p, config, psi0, 5.0)) < 8e6
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BichromaticParams(k=1, k_prime=1, delta=0.05, delta_prime=0.05, omega=0.02, phi=0.0, phi0=0.0),
+        lambda: BichromaticParams.symmetric(k=1, delta=0.05, omega=0.02),
+        lambda: CarrierParams(omega=0.02, varphi=0.0, varphi0=0.0),
+    ],
+    ids=["bichromatic", "symmetric", "carrier"],
+)
+def test_drive_records_require_modes(build):
+    with pytest.raises(TypeError, match="'modes'"):
+        build()
 
 
 def test_kernel_constant_drive_matches_eigh():

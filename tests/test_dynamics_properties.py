@@ -1,20 +1,28 @@
 """Property tests: propagate_bichromatic against the dense oracle on random
-drives, and the SignalRecord text format on random records."""
+drives, norm conservation of every propagator, the config parser on fuzzed
+text, and the SignalRecord text format on random records."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from vibronic import (
     BichromaticParams,
+    CarrierParams,
+    FactoredPropagator,
+    HermitianPropagator,
     HilbertConfig,
     JointState,
     ModeParams,
     build_bichromatic_H,
+    carrier_factors,
+    effective_factors,
     propagate_bichromatic,
     propagate_timedep,
 )
+from vibronic.cli import MODES, ConfigError, parse_config
 from vibronic.tomography import SignalRecord
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -35,7 +43,7 @@ DT = 0.02
     phi0=st.floats(-np.pi, np.pi),
     eta=st.floats(0.05, 0.3),
     n_max_c=st.integers(0, 3),
-    n_max_r=st.integers(0, 1),
+    n_max_r=st.integers(0, 2),
     t=st.floats(-6.0, 6.0),
     seed=st.integers(0, 2**16),
 )
@@ -56,6 +64,123 @@ def test_engine_matches_oracle_on_random_drives(
     ref = propagate_timedep(lambda s: build_bichromatic_H(s, p, config), psi0, t, dt_max=DT)
     assert abs(out.norm() - 1.0) < 1e-12
     assert np.abs(out.amps - ref.amps).max() < (1e-6 if k + k_prime else 1e-11)
+
+
+def _random_state(config, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=config.dim) + 1j * rng.normal(size=config.dim)
+    return JointState(amps=amps / np.linalg.norm(amps), config=config)
+
+
+@hypothesis.settings(max_examples=20, deadline=None)
+@hypothesis.given(
+    orders=st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (2, 2)]),
+    delta=st.floats(-0.2, 0.2),
+    delta_prime=st.floats(-0.2, 0.2),
+    omega_abs=st.floats(0.0, 0.05),
+    omega_arg=st.floats(-np.pi, np.pi),
+    phi=st.floats(-np.pi, np.pi),
+    phi0=st.floats(-np.pi, np.pi),
+    eta=st.floats(0.05, 0.3),
+    n_max_c=st.integers(0, 4),
+    n_max_r=st.integers(1, 3),
+    t=st.floats(-20.0, 20.0),
+    seed=st.integers(0, 2**16),
+)
+def test_every_propagator_conserves_the_norm(
+    orders, delta, delta_prime, omega_abs, omega_arg, phi, phi0, eta, n_max_c, n_max_r, t, seed
+):
+    config = HilbertConfig(n_max_c=n_max_c, n_max_r=n_max_r)
+    modes = ModeParams(eta=eta)
+    omega = omega_abs * np.exp(1j * omega_arg)
+    p = BichromaticParams(
+        k=orders[0], k_prime=orders[1], delta=delta, delta_prime=delta_prime,
+        omega=omega, phi=phi, phi0=phi0, modes=modes,
+    )
+    psi0 = _random_state(config, seed)
+    outs = [
+        propagate_bichromatic(p, config, psi0, t),
+        HermitianPropagator(build_bichromatic_H(t, p, config)).apply(psi0, t),
+        FactoredPropagator(*carrier_factors(CarrierParams(omega=omega, varphi=phi, varphi0=phi0, modes=modes), config)).apply(psi0, t),
+    ]
+    if delta != 0:
+        sym = BichromaticParams.symmetric(k=orders[0], delta=delta, omega=omega, phi=phi, phi0=phi0, modes=modes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a marginal AdiabaticityWarning does not matter to the norm
+            outs.append(FactoredPropagator(*effective_factors(sym, config)).apply(psi0, t))
+    for out in outs:
+        assert abs(out.norm() - 1.0) < 1e-12
+
+
+# every key parse_config reads, by section ("" is the top level)
+_CONFIG_KEYS = {
+    "": ("seed", "threads"),
+    "hilbert": ("n_max_c", "n_max_r"),
+    "modes": ("eta", "eta_r", "nu"),
+    "drive": ("k", "k_prime", "delta", "delta_prime", "omega", "phi", "phi0"),
+    "state": ("kind", "n_c", "n_r", "nbar_c", "nbar_r", "alpha_c_re", "alpha_c_im", "alpha_r_re", "alpha_r_im", "terms"),
+    "bell": ("sign", "start_sign", "engine", "n_c", "n_r", "dt_max"),
+    "carrier": ("omega", "varphi", "varphi0"),
+    "tomo": ("shots", "n_fit_c", "n_fit_r", "ridge", "tau_count", "tau_max", "signal_file"),
+    "wigner": ("alphas", "alpha_c_line"),
+    "evolve": ("t", "samples", "engine", "dt_max"),
+}
+# a valid config of each mode, and the sections it reads; the fuzz damages
+# the config key by key, mostly within those sections
+_DRIVE = {
+    ("hilbert", "n_max_c"): "6", ("hilbert", "n_max_r"): "3", ("modes", "eta"): "0.1",
+    ("drive", "k"): "1", ("drive", "delta"): "0.05", ("drive", "omega"): "0.02",
+}
+_BASE = ("", "hilbert", "modes", "drive")
+_VALID = {
+    "spectrum": (_DRIVE, _BASE),
+    "evolve": ({**_DRIVE, ("state", "kind"): "fock", ("evolve", "t"): "10"}, _BASE + ("state", "evolve")),
+    "bell-phi": (_DRIVE, _BASE + ("bell",)),
+    "bell-psi": (_DRIVE, _BASE + ("bell", "carrier")),
+    "tomo-synth": ({**_DRIVE, ("state", "kind"): "thermal"}, _BASE + ("state", "tomo")),
+    "tomo-invert": ({**_DRIVE, ("state", "kind"): "fock"}, _BASE + ("state", "tomo")),
+    "wigner": ({**_DRIVE, ("state", "kind"): "fock", ("wigner", "alpha_c_line"): "0, 0.5, 3"}, _BASE + ("state", "tomo", "wigner")),
+    "validate": ({}, ("",)),
+}
+_TOKENS = (
+    "", "+", "-", "nan", "inf", "-inf", "1e400", "0x1f", "1_0", "abc", "exact", "effective",
+    "fock", "thermal", "coherent", "superposition", "signal.csv",
+) + MODES
+# counts stay at most 1e4: a legitimately large count allocates gigabytes
+_number = st.one_of(st.integers(-3, 45).map(str), st.integers(-3, 10**4).map(str), st.floats(-2.0, 2.0).map(repr))
+_group = st.lists(_number, min_size=1, max_size=5).map(", ".join)
+_value = st.one_of(_number, st.sampled_from(_TOKENS), st.lists(_group, min_size=1, max_size=3).map("; ".join))
+
+
+def _keys(sections):
+    return st.sampled_from([(section, key) for section in sections for key in _CONFIG_KEYS[section]])
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(
+    mode=st.sampled_from(MODES + ("", "tomo")),
+    dropped=st.sets(st.sampled_from(sorted(_DRIVE)), max_size=1),
+    stray=st.dictionaries(_keys(_CONFIG_KEYS), _value, max_size=1),
+    junk=st.lists(st.text(max_size=12), max_size=1),
+    data=st.data(),
+)
+def test_parse_config_raises_only_config_error(mode, dropped, stray, junk, data):
+    valid, sections = _VALID.get(mode, (_DRIVE, _BASE))
+    entries = {key: value for key, value in valid.items() if key not in dropped}
+    entries.update(data.draw(st.dictionaries(_keys(sections), _value, max_size=3)))
+    entries.update(stray)
+    lines = [f"mode = {mode}"]
+    for section in _CONFIG_KEYS:
+        keys = [(key, value) for (sec, key), value in entries.items() if sec == section]
+        if keys:
+            lines += ([f"[{section}]"] if section else []) + [f"{key} = {value}" for key, value in keys]
+    text = "\n".join(lines + junk) + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # parameter-regime warnings are not parse errors
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass
 
 
 def _bits(x: float) -> bytes:

@@ -55,6 +55,18 @@ def test_record_validates_probability_range():
         SignalRecord(taus=np.array([0.0, 1.0]), p_dd=np.array([0.5, 1.2]), shots=np.zeros(2, int), params=DRIVE, seed=0)
 
 
+@pytest.mark.parametrize("column, value", [(0, "nan"), (0, "inf"), (1, "nan"), (1, "-inf")])
+def test_record_rejects_non_finite_samples(column, value):
+    text = synth_signal(vacuum(6, 3), np.linspace(0.0, 40.0, 5), DRIVE).to_text()
+    lines = text.splitlines()
+    cells = lines[-2].split(",")
+    cells[column] = value
+    lines[-2] = ",".join(cells)
+    name = ("taus", "p_dd")[column]
+    with pytest.raises(ValueError, match=f"^{name} values must be finite$"):
+        SignalRecord.from_text("\n".join(lines))
+
+
 def test_record_text_round_trip():
     rho = vacuum(6, 3)
     taus = np.linspace(0.0, 40.0, 9)
