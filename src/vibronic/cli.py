@@ -261,6 +261,11 @@ def parse_config(text: str, seed_override: int | None = None, threads_override: 
     """Validate config text into a RunConfig with all defaults resolved."""
     reader = _Reader(_scan(text))
     mode = reader.string("mode", choices=set(MODES), required=True)
+    # the flags follow the rules of the keys they override
+    if seed_override is not None and seed_override < 0:
+        raise ConfigError(f"'--seed' must be >= 0, got {seed_override}")
+    if threads_override is not None and threads_override < 1:
+        raise ConfigError(f"'--threads' must be >= 1, got {threads_override}")
     seed = seed_override if seed_override is not None else reader.number("seed", default=0, lo=0, integer=True)
     # 'threads' is still accepted, range-checked and echoed so that older configs parse; runs are serial
     threads = threads_override if threads_override is not None else reader.number("threads", default=1, lo=1, integer=True)
@@ -601,7 +606,7 @@ def run(config: RunConfig, out_dir: str) -> tuple[list[str], int]:
     return summaries, 0 if ok else 3
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vibronic",
         description="Two-ion vibronic dynamics, Bell-state pulses and motional tomography.",
@@ -611,7 +616,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--threads", type=int, default=None, help="accepted for older configs; has no effect")
     parser.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# built once per process: parse_args keeps no state between calls
+_PARSER = _build_parser()
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

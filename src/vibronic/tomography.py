@@ -24,6 +24,17 @@ sizes, so protocol_run builds them once per run.  Each displacement point is
 then displaced once: displaced_populations forms only the diagonal of
 U^dag rho U, and those populations feed both the drawn record, which is
 solved, and the exact Wigner value returned next to the estimate.
+
+Shot noise draws sample j of a record seeded with s from the substream
+SeedSequence((s, j)) through PCG64.  Those substreams are computed in one
+batch: numpy's SeedSequence hash and the PCG64 seeding step are applied to
+all (s, j) words at once in uint32 arrays (protocol_run hashes every point
+seed and every point x sample substream in one pass), and each sample then
+sets its state on one reused Generator.  The counts equal per-sample
+PCG64(SeedSequence((s, j))) draws bit for bit, for any non-negative seed.
+
+scipy is imported on the first NNLS solve only, so the modes that never
+solve do not load it.
 """
 
 from __future__ import annotations
@@ -32,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .dynamics import BichromaticParams, rabi_spectrum
 from .fockspace import HilbertConfig, ModeParams, VibDensity, displacement
@@ -41,6 +51,17 @@ WIGNER_BOUND = 4.0 / math.pi**2
 
 _FREQ_COLLISION_TOL = 1e-12
 _COND_THRESHOLD = 1e8
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
+# 128-bit LCG multiplier (numpy/random/src/pcg64)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class DegeneracyError(ValueError):
@@ -253,18 +274,118 @@ def synth_signal(
     return _draw(a, rho.populations(), taus, p, shots, seed)
 
 
-def _draw(a: np.ndarray, pops: np.ndarray, taus: np.ndarray, p: BichromaticParams, shots: int, seed: int) -> SignalRecord:
-    """One record of the Fock populations ``pops`` through ``a``, the cos^2 design on their full grid."""
+def _draw(
+    a: np.ndarray,
+    pops: np.ndarray,
+    taus: np.ndarray,
+    p: BichromaticParams,
+    shots: int,
+    seed: int,
+    streams: list[tuple[int, int]] | None = None,
+) -> SignalRecord:
+    """One record of the Fock populations ``pops`` through ``a``, the cos^2 design on their full grid.
+
+    ``streams`` holds the PCG64 (state, inc) of SeedSequence((seed, j)) for
+    each sample j; it is hashed here when the caller has not batched it.
+    """
     if shots < 0:
         raise ValueError("shots must be >= 0")
     probs = np.clip(a @ pops.ravel(), 0.0, 1.0)
     if shots == 0:
         return SignalRecord(taus=taus, p_dd=probs, shots=np.zeros(taus.size, int), params=p, seed=seed)
+    if streams is None:
+        streams = _pcg64_streams(_seed_column(seed), taus.size)[0]
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
     drawn = np.empty(taus.size)
-    for j, prob in enumerate(probs):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, j))))
+    for j, ((state, inc), prob) in enumerate(zip(streams, probs)):
+        bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
+        }
         drawn[j] = rng.binomial(shots, prob) / shots
     return SignalRecord(taus=taus, p_dd=drawn, shots=np.full(taus.size, shots), params=p, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# shot-noise substreams
+# ---------------------------------------------------------------------------
+
+
+def _seed_column(seed) -> np.ndarray:
+    """The uint32 entropy words SeedSequence takes from one seed, least significant first, as one column."""
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError("seed must be integer")
+    n = int(seed)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return np.array([[(n >> shift) & _MASK32] for shift in range(0, max(n.bit_length(), 1), 32)], np.uint32)
+
+
+def _hashmixer(init: int, mult: int):
+    """SeedSequence's multiplicative hash; its constant steps the same way for every column."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * mult) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _substream_words(seed_words: np.ndarray, count: int, n_words: int) -> list[np.ndarray]:
+    """SeedSequence((s, j)).generate_state(n_words) for every seed s and every j < count.
+
+    ``seed_words`` holds one seed's uint32 entropy words per column, all
+    seeds with the same word count.  Returns n_words uint32 arrays over the
+    columns (s, j), s-major.
+    """
+    n_seed_words, n_seeds = seed_words.shape
+    entropy = np.empty((n_seed_words + 1, n_seeds, count), np.uint32)
+    entropy[:-1] = seed_words[:, :, None]
+    entropy[-1] = np.arange(count, dtype=np.uint32)  # j < 2^32 is one word, 0 included
+    entropy = entropy.reshape(n_seed_words + 1, n_seeds * count)
+    hashmix = _hashmixer(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0])) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):  # entropy words beyond the pool
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[src]))
+    out = _hashmixer(_INIT_B, _MULT_B)
+    return [out(pool[i % _POOL_SIZE]) for i in range(n_words)]
+
+
+def _point_seeds(seed, count: int) -> np.ndarray:
+    """SeedSequence((seed, idx)).generate_state(1)[0] for every idx < count."""
+    return _substream_words(_seed_column(seed), count, 1)[0]
+
+
+def _pcg64_streams(seed_words: np.ndarray, count: int) -> list[list[tuple[int, int]]]:
+    """PCG64(SeedSequence((s, j))) (state, inc) for every seed column s and j < count.
+
+    PCG64 takes generate_state(4, uint64) as (initstate, initseq), high
+    word first, and seeds inc = 2 initseq + 1 and
+    state = ((inc + initstate) M + inc) mod 2^128.
+    """
+    words = _substream_words(seed_words, count, 8)
+    # generate_state(4, uint64) joins word pairs little-endian
+    halves = [(lo.astype(np.uint64) | hi.astype(np.uint64) << np.uint64(32)).tolist()
+              for lo, hi in zip(words[::2], words[1::2])]
+    streams = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
+        inc = (((seq_hi << 64 | seq_lo) << 1) | 1) & _MASK128
+        streams.append((((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return [streams[i * count : (i + 1) * count] for i in range(seed_words.shape[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +438,13 @@ def _solve(a: np.ndarray, cond: float, p_dd: np.ndarray, shape: tuple[int, int],
         x = x / total
     residual = float(np.linalg.norm(a @ x - p_dd))
     return PopulationEstimate(pi=x.reshape(shape), residual_norm=residual, condition_number=cond)
+
+
+def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """scipy.optimize.nnls, imported on the first solve so that modes which never solve do not load scipy."""
+    from scipy.optimize import nnls as scipy_nnls
+
+    return scipy_nnls(a, b)
 
 
 def _frequency_collisions(freqs: np.ndarray, shape: tuple[int, int]):
@@ -405,11 +533,13 @@ def protocol_run(
     synth = design_matrix(_fit_frequencies(p, cfg.n_max_c, cfg.n_max_r), taus)
     fit = _fit_design(p, n_fit_c, n_fit_r, taus)
     cond = float(np.linalg.cond(fit))
+    alphas = list(alphas)
+    point_seeds = _point_seeds(seed, len(alphas))
+    streams = _pcg64_streams(point_seeds[None, :], taus.size) if shots > 0 else [None] * len(alphas)
     points = []
     for idx, (alpha_c, alpha_r) in enumerate(alphas):
-        point_seed = int(np.random.SeedSequence((seed, idx)).generate_state(1)[0])
         pops = displaced_populations(rho, alpha_c, alpha_r)
-        record = _draw(synth, pops, taus, p, shots, point_seed)
+        record = _draw(synth, pops, taus, p, shots, int(point_seeds[idx]), streams[idx])
         est = _solve(fit, cond, record.p_dd, (n_fit_c + 1, n_fit_r + 1), ridge)
         w = wigner_from_populations(est)
         points.append(ProtocolPoint(wigner=WignerPoint(alpha_c, alpha_r, w), estimate=est, w_exact=_parity_sum(pops)))

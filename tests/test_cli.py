@@ -165,6 +165,27 @@ def test_seed_override_wins():
     assert dict(cfg.echo)["seed"] == "99"
 
 
+@pytest.mark.parametrize("text", [SYNTH_CFG, SPECTRUM_CFG], ids=["tomo-synth", "spectrum"])
+@pytest.mark.parametrize("flag, value", [("--seed", "-3"), ("--threads", "0")])
+def test_override_flags_are_range_checked(tmp_path, capsys, text, flag, value):
+    assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out"), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"'{flag}'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_calls_share_no_flag_state(tmp_path, capsys):
+    cfg = _write(tmp_path, SYNTH_CFG)
+    assert main(["--config", cfg, "--out", str(tmp_path / "a"), "--seed", "5", "--threads", "2", "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    assert "tomo-synth" in capsys.readouterr().out
+    first = (tmp_path / "a" / "signal.csv").read_text().splitlines()
+    second = (tmp_path / "b" / "signal.csv").read_text().splitlines()
+    assert "# seed = 5" in first and "# threads = 2" in first
+    assert "# seed = 11" in second and "# threads = 1" in second
+
+
 # -- modes through main() --------------------------------------------------
 
 

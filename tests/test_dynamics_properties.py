@@ -1,6 +1,7 @@
 """Property tests: propagate_bichromatic against the dense oracle on random
 drives, norm conservation of every propagator, the config parser on fuzzed
-text, and the SignalRecord text format on random records."""
+text, the SignalRecord text format on random records, and the batched
+shot-noise substreams against per-sample SeedSequence draws."""
 
 import struct
 import warnings
@@ -23,6 +24,7 @@ from vibronic import (
     propagate_timedep,
 )
 from vibronic.cli import MODES, ConfigError, parse_config
+from vibronic import tomography
 from vibronic.tomography import SignalRecord
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -236,3 +238,26 @@ def test_signal_record_text_round_trip_is_exact(
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert _param_bits(back.params) == _param_bits(rec.params)
     assert back.seed == rec.seed
+
+
+# values that clip to the endpoints 0 and 1, the endpoints themselves, and any probability
+_raw_probability = st.one_of(st.sampled_from([0.0, 1.0, -1e-12, 1.0 + 1e-12]), st.floats(0.0, 1.0))
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(
+    seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**160 - 1)),
+    shots=st.sampled_from([1, 3000, 10**4]),
+    raw=st.lists(_raw_probability, min_size=1, max_size=24),
+    repeats=st.integers(0, 8),
+)
+def test_batched_substreams_equal_per_sample_draws(seed, shots, raw, repeats):
+    raw = np.array(raw + raw[:repeats])  # repeated probabilities
+    n = raw.size
+    p = BichromaticParams.symmetric(k=1, delta=0.02, omega=0.05, modes=ModeParams(eta=0.23))
+    record = tomography._draw(np.eye(n), raw, np.arange(float(n)), p, shots, seed)
+    per_sample = [
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, j)))).binomial(shots, prob) / shots
+        for j, prob in enumerate(np.clip(raw, 0.0, 1.0))
+    ]
+    assert record.p_dd.tobytes() == np.array(per_sample).tobytes()

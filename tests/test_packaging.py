@@ -1,9 +1,11 @@
-"""Declared dependencies match what the package imports, and every name the
-bench traces exists in the package."""
+"""Declared dependencies match what the package imports, scipy stays out of
+the cold start, and every name the bench traces exists in the package."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,6 +32,83 @@ def test_dependencies_equal_third_party_imports():
         declared = {re.split(r"[<>=!~;\[ ]", dep, maxsplit=1)[0] for dep in tomllib.load(fh)["project"]["dependencies"]}
     third_party = _imported_top_level_modules() - set(sys.stdlib_module_names) - {"vibronic"}
     assert declared == third_party
+
+
+def _load_time_imports(tree: ast.Module) -> set[str]:
+    """Top-level names a module imports when it is loaded: every import outside a function body."""
+    names, stack = set(), list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_module_imports_scipy_at_load_time():
+    loaders = [
+        path.name for path in (ROOT / "src" / "vibronic").rglob("*.py")
+        if "scipy" in _load_time_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert loaders == []
+
+
+BELL_PHI_CFG = """\
+mode = bell-phi
+[hilbert]
+n_max_c = 4
+n_max_r = 1
+[modes]
+eta = 0.1
+[drive]
+k = 1
+delta = 0.1
+omega = 0.05
+"""
+
+TOMO_INVERT_CFG = """\
+mode = tomo-invert
+[hilbert]
+n_max_c = 6
+n_max_r = 2
+[modes]
+eta = 0.23
+[drive]
+k = 1
+delta = 0.02
+omega = 0.05
+[state]
+kind = fock
+n_c = 1
+[tomo]
+shots = 300
+"""
+
+
+def _scipy_loaded_after(code: str, cwd: Path) -> bool:
+    """Runs ``code`` in a fresh interpreter and reports whether scipy got imported."""
+    path = [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\nprint('scipy' in sys.modules)"],
+        cwd=cwd, env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return out.splitlines()[-1] == "True"
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    assert not _scipy_loaded_after("import vibronic, vibronic.cli", tmp_path)
+
+
+@pytest.mark.parametrize("text, solves", [(BELL_PHI_CFG, False), (TOMO_INVERT_CFG, True)], ids=["bell-phi", "tomo-invert"])
+def test_only_solving_jobs_load_scipy(tmp_path, text, solves):
+    (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
+    run = "from vibronic.cli import main\nassert main(['--config', 'run.cfg', '--out', 'out', '--quiet']) == 0"
+    assert _scipy_loaded_after(run, tmp_path) == solves
 
 
 def _bench_targets() -> list[tuple[str, str]]:

@@ -1,11 +1,14 @@
 """Tests for displaced-population tomography and Wigner reconstruction."""
 
+import contextlib
 import math
+import signal
 import warnings
 
 import numpy as np
 import pytest
 
+import vibronic.tomography as tomography
 from vibronic import (
     WIGNER_BOUND,
     BichromaticParams,
@@ -167,6 +170,71 @@ def test_synth_shot_noise_deterministic_per_seed():
     assert np.array_equal(a.p_dd, b.p_dd)
     assert not np.array_equal(a.p_dd, c.p_dd)
     assert np.all((a.p_dd >= 0) & (a.p_dd <= 1))
+
+
+# seeds of 1 to 5 uint32 words: SeedSequence((seed, j)) hashes 2 to 6 entropy words
+SUBSTREAM_SEEDS = [0, 1, 7, 12345, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**130 + 17]
+
+
+@pytest.mark.parametrize("seed", SUBSTREAM_SEEDS)
+def test_batched_substreams_equal_per_sample_seed_sequences(seed):
+    taus = np.linspace(0.0, 200.0, 40)
+    streams = tomography._pcg64_streams(tomography._seed_column(seed), taus.size)
+    assert len(streams) == 1
+    for j, stream in enumerate(streams[0]):
+        state = np.random.PCG64(np.random.SeedSequence((seed, j))).state["state"]
+        assert stream == (state["state"], state["inc"])
+    rho = vacuum(6, 3)
+    exact = synth_signal(rho, taus, DRIVE, shots=0).p_dd
+    per_sample = [
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, j)))).binomial(3000, prob) / 3000
+        for j, prob in enumerate(exact)
+    ]
+    assert synth_signal(rho, taus, DRIVE, shots=3000, seed=seed).p_dd.tobytes() == np.array(per_sample).tobytes()
+
+
+@pytest.mark.parametrize("seed", SUBSTREAM_SEEDS)
+def test_point_seeds_equal_generate_state(seed):
+    expected = [int(np.random.SeedSequence((seed, idx)).generate_state(1)[0]) for idx in range(30)]
+    assert tomography._point_seeds(seed, 30).tolist() == expected
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: int):
+    """Turns a hang (a 32-bit word split that never ends on a negative seed) into a failure."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("seed", [-1, -3, -(2**40), 1.5, 2.0, np.float64(3.0)])
+def test_bad_seed_raises_as_numpy_does_before_any_point(seed, monkeypatch):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        np.random.SeedSequence((seed, 0))
+    displaced = []
+    monkeypatch.setattr(tomography, "displaced_populations", lambda *args: displaced.append(args))
+    taus = default_tau_grid(DRIVE, 10, 2)
+    runs = [
+        lambda: synth_signal(vacuum(6, 3), np.linspace(0.0, 200.0, 25), DRIVE, shots=500, seed=seed),
+        lambda: protocol_run(vacuum(), LINE, taus, DRIVE, shots=300, seed=seed, n_fit_c=10, n_fit_r=2),
+        lambda: protocol_run(vacuum(), LINE, taus, DRIVE, shots=0, seed=seed, n_fit_c=10, n_fit_r=2),
+    ]
+    for run in runs:
+        with _time_limit(5), pytest.raises(type(expected.value)) as got:
+            run()
+        assert str(got.value) == str(expected.value)
+    assert displaced == []
 
 
 def test_synth_thermal_matches_density_propagation_oracle():
@@ -337,8 +405,6 @@ def test_protocol_equals_per_point_public_path(shots, ridge):
 
 
 def test_protocol_builds_design_once_per_run(monkeypatch):
-    import vibronic.tomography as tomography
-
     calls = []
     real = tomography.design_matrix
 
