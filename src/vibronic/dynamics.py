@@ -170,12 +170,17 @@ def omega_k_scale(k: int, omega: complex, delta: float, eta: float) -> float:
     """Overall dispersive Rabi scale 2 |omega|^2 (i eta)^{2k} / delta (real).
 
     The (i eta)^{2k} factor is folded to (-1)^k eta^{2k}, so the result is a
-    signed real number; delta = 0 is singular and rejected.
+    signed real number; delta = 0 is singular and rejected, as is a delta
+    so small (a subnormal float, say) that the scale overflows to infinity.
     """
     if delta == 0:
         raise ValueError("delta = 0: the dispersive scale 2|omega|^2 eta^2k / delta diverges")
     k = _check_int("k", k)
-    return 2.0 * abs(omega) ** 2 * (-1.0) ** k * eta ** (2 * k) / delta
+    with np.errstate(over="ignore"):
+        scale = 2.0 * abs(omega) ** 2 * (-1.0) ** k * eta ** (2 * k) / delta
+    if not math.isfinite(scale):
+        raise ValueError(f"delta = {delta!r}: the dispersive scale 2|omega|^2 eta^2k / delta overflows")
+    return scale
 
 
 def _number_bracket(n: int, k: int) -> float:
@@ -190,7 +195,11 @@ def rabi_effective(n_c: int, n_r: int, p: BichromaticParams) -> float:
         raise ValueError("effective rates assume k == k' and delta == delta'")
     scale = omega_k_scale(p.k, p.omega, p.delta, p.modes.eta)
     f = coupling_f(n_c, n_r, p.k, p.modes)
-    return scale * f * f * _number_bracket(n_c, p.k)
+    with np.errstate(over="ignore"):
+        rate = scale * f * f * _number_bracket(n_c, p.k)
+    if not math.isfinite(rate):
+        raise ValueError(f"delta = {p.delta!r}: the dispersive rate overflows")
+    return rate
 
 
 @dataclass(frozen=True)
@@ -224,7 +233,11 @@ def rabi_spectrum(p: BichromaticParams, n_max_c: int, n_max_r: int) -> RabiSpect
     scale = omega_k_scale(p.k, p.omega, p.delta, p.modes.eta)
     f = coupling_f_grid(n_max_c, n_max_r, p.k, p.modes)
     bracket = np.array([_number_bracket(n_c, p.k) for n_c in range(n_max_c + 1)])
-    return RabiSpectrum(values=scale * f * f * bracket[:, None], params=p)
+    with np.errstate(over="ignore"):
+        values = scale * f * f * bracket[:, None]
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"delta = {p.delta!r}: the dispersive rates overflow")
+    return RabiSpectrum(values=values, params=p)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +350,9 @@ class FactoredPropagator:
 
     With M4 = V diag(lam) V^dag, e^{-i H t} = kron(V, 1) diag(e^{-i lam_j a_n t})
     kron(V^dag, 1), so a step costs O(dim) and H is never formed.  Rejects a
-    visibly non-Hermitian M4 (the rule of HermitianPropagator) and an a with
-    a nonzero imaginary part.
+    visibly non-Hermitian M4 (the rule of HermitianPropagator), an a with
+    a nonzero imaginary part, and levels lam_j a_n, or phases lam_j a_n t,
+    that are not finite (e^{-i inf} is nan).
     """
 
     def __init__(self, m4: np.ndarray, a: np.ndarray):
@@ -347,10 +361,17 @@ class FactoredPropagator:
             raise ValueError("the level rates a must be real")
         self.rates = np.real(a)
         self.eigvals, self.eigvecs = np.linalg.eigh(m4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.levels = np.outer(self.eigvals, self.rates)
+        if not np.all(np.isfinite(self.levels)):
+            raise ValueError("the generator's levels lam_j a_n overflow or are not finite")
+        self._top = float(np.abs(self.levels).max(initial=0.0))
 
     def apply(self, state: JointState, t: float) -> JointState:
-        x = state.amps.reshape(self.eigvals.size, self.rates.size)
-        phases = np.exp(-1j * t * np.outer(self.eigvals, self.rates))
+        if not math.isfinite(self._top * t):
+            raise ValueError(f"t = {t!r}: the phases lam_j a_n t overflow")
+        x = state.amps.reshape(self.levels.shape)
+        phases = np.exp(-1j * t * self.levels)
         amps = self.eigvecs @ (phases * (self.eigvecs.conj().T @ x))
         return JointState(amps=amps.ravel(), config=state.config)
 

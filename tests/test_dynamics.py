@@ -1,5 +1,6 @@
 """Tests for drive Hamiltonians, propagators and closed-form evolutions."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -47,6 +48,32 @@ def bell_dd_uu(config, sign, n_c=0, n_r=0):
 def test_omega_k_scale_zero_delta_raises():
     with pytest.raises(ValueError):
         omega_k_scale(1, 0.01, 0.0, 0.1)
+
+
+def test_omega_k_scale_overflow_raises():
+    # a subnormal detuning makes 2|omega|^2 eta^2k / delta overflow to inf,
+    # which would turn every effective rate (0 * inf at k = 0) into nan
+    with pytest.raises(ValueError, match="overflows"):
+        omega_k_scale(0, 0.03125, 2.2250738585e-313, 0.25)
+    assert omega_k_scale(0, 0.0, 2.2250738585e-313, 0.25) == 0.0
+
+
+def test_overflowing_dispersive_rates_raise():
+    # the scale itself is finite here, but the rates times the bracket are not
+    p = BichromaticParams.symmetric(k=2, delta=2.2250738585e-313, omega=0.05, modes=ModeParams(eta=0.25))
+    assert math.isfinite(omega_k_scale(p.k, p.omega, p.delta, p.modes.eta))
+    with pytest.raises(ValueError, match="overflow"):
+        rabi_spectrum(p, 2, 1)
+    with pytest.raises(ValueError, match="overflow"):
+        rabi_effective(2, 0, p)
+    with pytest.raises(ValueError, match="overflow"):
+        FactoredPropagator(np.eye(4), np.array([1.0, np.inf]))
+    # finite levels whose phases overflow at this t
+    prop = FactoredPropagator(np.eye(4), np.array([1.0, 1e308]))
+    psi = basis_state(HilbertConfig(n_max_c=0, n_max_r=1), "dd", 0, 0)
+    assert abs(prop.apply(psi, 1.0).norm() - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="overflow"):
+        prop.apply(psi, 10.0)
 
 
 def test_omega_k_scale_sign_alternates():
