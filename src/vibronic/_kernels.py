@@ -5,12 +5,13 @@ frame and dynamics.BichromaticAction solves it exactly.  With both tones on
 the carrier (k = k' = 0) no such frame exists in general, and
 dynamics.propagate_bichromatic steps the drive here.  Its Hamiltonian is
 extremely sparse (a few entries per row), so it is held in COO form whose
-entries carry a "phase group" tag selecting which of the four oscillating
-coefficients
+entries carry a "phase group" tag.  Both tones are the same matrix M, so
+H(t) = c(t) M + conj(c(t)) M^dag: at a given midpoint time group 0 (the
+entries of M) is multiplied by the coefficient
 
-    e^{+i delta t},  e^{-i delta' t},  e^{-i delta t},  e^{+i delta' t}
+    c(t) = e^{+i delta t} + e^{-i delta' t}
 
-multiplies them at a given midpoint time.  Each step applies
+and group 1 (the entries of M^dag) by its conjugate.  Each step applies
 exp(-i H(t_mid) dt) through an adaptive Taylor series (dt * ||H|| is tiny
 here, so a handful of sparse matvecs reaches machine precision).
 """
@@ -29,14 +30,8 @@ def propagate_coo(rows, cols, vals, groups, delta, delta_p, psi, dt, n_steps, m_
     dtau = dt / m_sub
     for s in range(n_steps):
         tm = (s + 0.5) * dt
-        coefs = np.array(
-            [
-                np.exp(1j * delta * tm),
-                np.exp(-1j * delta_p * tm),
-                np.exp(-1j * delta * tm),
-                np.exp(1j * delta_p * tm),
-            ]
-        )
+        tone = np.exp(1j * delta * tm) + np.exp(-1j * delta_p * tm)
+        coefs = np.array([tone, np.conj(tone)])
         w = vals * coefs[groups]
         for _ in range(m_sub):
             term = out.copy()

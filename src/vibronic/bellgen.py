@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -196,16 +196,7 @@ def phase_alternative_phi(p: BichromaticParams, vib: tuple[int, int] = (0, 0)) -
     Shifting phi by pi/2 flips e^{2 i phi} by -1, so this sequence prepares
     the opposite-sign Phi state without touching the pulse duration.
     """
-    shifted = BichromaticParams(
-        k=p.k,
-        k_prime=p.k_prime,
-        delta=p.delta,
-        delta_prime=p.delta_prime,
-        omega=p.omega,
-        phi=p.phi + math.pi / 2.0,
-        phi0=p.phi0,
-        modes=p.modes,
-    )
+    shifted = replace(p, phi=p.phi + math.pi / 2.0)
     pulse, theta = _dispersive_pulse(1, shifted, vib)
     return PulseSequence(pulses=(pulse,), prefactor_phase=theta)
 

@@ -266,15 +266,15 @@ def parse_config(text: str, seed_override: int | None = None, threads_override: 
         raise ConfigError(f"'--seed' must be >= 0, got {seed_override}")
     if threads_override is not None and threads_override < 1:
         raise ConfigError(f"'--threads' must be >= 1, got {threads_override}")
-    seed = seed_override if seed_override is not None else reader.number("seed", default=0, lo=0, integer=True)
+    seed = reader.number("seed", default=0, lo=0, integer=True)
     # 'threads' is still accepted, range-checked and echoed so that older configs parse; runs are serial
-    threads = threads_override if threads_override is not None else reader.number("threads", default=1, lo=1, integer=True)
+    reader.number("threads", default=1, lo=1, integer=True)
+    # a flag replaces the file value and its echo entry in place, so the header keeps one order
     if seed_override is not None:
-        reader.number("seed", default=0, lo=0, integer=True)  # consume + range check the file value
-        reader.echo[-1] = ("seed", f"{seed}")
+        seed = seed_override
+        reader.echo[-2] = ("seed", f"{seed}")
     if threads_override is not None:
-        reader.number("threads", default=1, lo=1, integer=True)
-        reader.echo[-1] = ("threads", f"{threads}")
+        reader.echo[-1] = ("threads", f"{threads_override}")
 
     if mode == "validate":
         reader.reject_unknown()
@@ -515,12 +515,10 @@ def _run_bell(config: RunConfig, out_dir: str) -> list[str]:
 
 
 def _run_tomo_synth(config: RunConfig, out_dir: str) -> list[str]:
-    rho = make_vib_state(config.state, config.hilbert)
-    taus = _tau_grid(config)
-    record = synth_signal(rho, taus, config.drive, shots=config.shots, seed=config.seed)
+    record = _load_record(config)
     lines = _header(config) + ["# signal record follows"] + record.to_text().splitlines()
     _write(os.path.join(out_dir, "signal.csv"), lines)
-    return [f"tomo-synth: {taus.size} samples, shots={config.shots} -> signal.csv"]
+    return [f"tomo-synth: {record.taus.size} samples, shots={config.shots} -> signal.csv"]
 
 
 def _load_record(config: RunConfig) -> SignalRecord:
@@ -606,6 +604,11 @@ def run(config: RunConfig, out_dir: str) -> tuple[list[str], int]:
     return summaries, 0 if ok else 3
 
 
+def _integer(text: str) -> int:
+    """An integer literal as the config keys read it (16, 0x10, 0o20, 0b10000)."""
+    return int(text, 0)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vibronic",
@@ -613,8 +616,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="path to the run configuration file")
     parser.add_argument("--out", required=True, help="output directory (created if missing)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None, help="accepted for older configs; has no effect")
+    parser.add_argument("--seed", type=_integer, default=None, help="override the config seed")
+    parser.add_argument("--threads", type=_integer, default=None, help="accepted for older configs; has no effect")
     parser.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
     return parser
 

@@ -189,17 +189,19 @@ def _number_bracket(n: int, k: int) -> float:
     return first - float(math.perm(n + k, k))
 
 
-def rabi_effective(n_c: int, n_r: int, p: BichromaticParams) -> float:
-    """Vibrational-state-dependent dispersive rate Omega^k_{n_c, n_r} (signed)."""
-    if not p.symmetric_drive:
-        raise ValueError("effective rates assume k == k' and delta == delta'")
-    scale = omega_k_scale(p.k, p.omega, p.delta, p.modes.eta)
-    f = coupling_f(n_c, n_r, p.k, p.modes)
-    with np.errstate(over="ignore"):
-        rate = scale * f * f * _number_bracket(n_c, p.k)
-    if not math.isfinite(rate):
-        raise ValueError(f"delta = {p.delta!r}: the dispersive rate overflows")
-    return rate
+def min_gaps(freqs: np.ndarray) -> tuple[float, float]:
+    """Smallest absolute and smallest relative spacing of the sorted values.
+
+    Adjacent sorted values are compared, so an exact tie gives 0 for both;
+    the relative spacing divides by the larger of the pair (by 1 where that
+    is 0).  Fewer than two values give (0, 0).
+    """
+    srt = np.sort(np.ravel(freqs))
+    if srt.size < 2:
+        return 0.0, 0.0
+    gaps = np.diff(srt)
+    ref = np.where(srt[1:] > 0, srt[1:], 1.0)
+    return float(gaps.min()), float((gaps / ref).min())
 
 
 @dataclass(frozen=True)
@@ -213,21 +215,22 @@ class RabiSpectrum:
         return np.abs(self.values)
 
     def min_relative_gap(self) -> float:
-        """Smallest relative spacing of the distinct |Omega^k| values.
+        """Smallest relative spacing of the sorted |Omega^k| values (see min_gaps).
 
         Drives how well populations can be told apart from a time signal:
-        near-degenerate rates make the inversion ill-conditioned.
+        near-degenerate rates make the inversion ill-conditioned, and two
+        cells with the same |Omega^k| count as a gap of 0.
         """
-        mags = np.unique(self.magnitudes().ravel())
-        if mags.size < 2:
-            return 0.0
-        gaps = np.diff(mags)
-        ref = mags[1:]
-        return float(np.min(gaps / np.where(ref > 0, ref, 1.0)))
+        return min_gaps(self.magnitudes())[1]
 
 
 def rabi_spectrum(p: BichromaticParams, n_max_c: int, n_max_r: int) -> RabiSpectrum:
-    """`rabi_effective` over the full grid, bitwise equal to it cell by cell."""
+    """Dispersive rates Omega^k_{n_c, n_r} = scale f_k^2 [n_c!/(n_c-k)! - (n_c+k)!/n_c!] over the grid.
+
+    This is the one implementation of the rate formula; `rabi_effective`
+    reads a single cell of it.  Rejects asymmetric drives and rates that
+    overflow.
+    """
     if not p.symmetric_drive:
         raise ValueError("effective rates assume k == k' and delta == delta'")
     scale = omega_k_scale(p.k, p.omega, p.delta, p.modes.eta)
@@ -238,6 +241,11 @@ def rabi_spectrum(p: BichromaticParams, n_max_c: int, n_max_r: int) -> RabiSpect
     if not np.all(np.isfinite(values)):
         raise ValueError(f"delta = {p.delta!r}: the dispersive rates overflow")
     return RabiSpectrum(values=values, params=p)
+
+
+def rabi_effective(n_c: int, n_r: int, p: BichromaticParams) -> float:
+    """Vibrational-state-dependent dispersive rate Omega^k_{n_c, n_r} (signed): cell (n_c, n_r) of `rabi_spectrum`."""
+    return rabi_spectrum(p, n_c, n_r).values[n_c, n_r]
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +493,10 @@ def _action(p: BichromaticParams, config: HilbertConfig) -> BichromaticAction:
 def _step_carrier_tones(p: BichromaticParams, config: HilbertConfig, psi: np.ndarray, t: float, dt_max: float) -> np.ndarray:
     """The k = k' = 0 drive on the sparse midpoint stepper, steps of at most dt_max.
 
-    Both tones are M = Omega e^{i phi} kron(W, diag f_0), so the COO entries
-    of M (twice) and M^dag (twice) are the four entries of W repeated over
-    the levels, and ||H(t)|| <= 8 |Omega| max|f_0|.
+    Both tones are M = Omega e^{i phi} kron(W, diag f_0), so H(t) = c(t) M +
+    conj(c(t)) M^dag with c(t) = e^{i delta t} + e^{-i delta' t}.  The COO
+    entries of M (group 0) and of M^dag (group 1) are the four entries of W
+    repeated over the levels, each stored once, and ||H(t)|| <= 8 |Omega| max|f_0|.
     """
     if t == 0:
         return psi.astype(np.complex128, copy=True)
@@ -501,8 +510,8 @@ def _step_carrier_tones(p: BichromaticParams, config: HilbertConfig, psi: np.nda
     dt = t / n_steps
     m_sub = max(1, int(math.ceil(abs(dt) * 8.0 * abs(p.omega) * np.abs(f0).max() / 0.9)))
     return _kernels.propagate_coo(
-        np.concatenate([rows, rows, cols, cols]), np.concatenate([cols, cols, rows, rows]),
-        np.concatenate([vals, vals, vals.conj(), vals.conj()]), np.repeat(np.arange(4), vals.size),
+        np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+        np.concatenate([vals, vals.conj()]), np.repeat(np.arange(2), vals.size),
         p.delta, p.delta_prime, psi, dt, n_steps, m_sub,
     )
 

@@ -69,25 +69,12 @@ class TruncationWarning(UserWarning):
 # polynomials and coupling amplitudes
 
 
-def laguerre(n: int, k: int, x: float) -> float:
-    """Associated Laguerre polynomial L_n^k(x) by the three-term recurrence.
+def laguerre_seq(n_max: int, k: int, x: float) -> np.ndarray:
+    """Associated Laguerre polynomials L_n^k(x) for n = 0..n_max, by the three-term recurrence.
 
     The upward recurrence in n is numerically stable for the small positive
     arguments (x = eta^2) used throughout; degree and order must be >= 0.
     """
-    if n < 0 or k < 0:
-        raise ValueError(f"laguerre degree/order must be >= 0, got n={n}, k={k}")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + k - x
-    for m in range(2, n + 1):
-        prev, cur = cur, ((2 * m - 1 + k - x) * cur - (m - 1 + k) * prev) / m
-    return cur
-
-
-def laguerre_seq(n_max: int, k: int, x: float) -> np.ndarray:
-    """L_n^k(x) for n = 0..n_max as an array (same recurrence as `laguerre`)."""
     if n_max < 0 or k < 0:
         raise ValueError(f"laguerre degree/order must be >= 0, got n_max={n_max}, k={k}")
     out = np.empty(n_max + 1)
@@ -97,6 +84,11 @@ def laguerre_seq(n_max: int, k: int, x: float) -> np.ndarray:
     for m in range(2, n_max + 1):
         out[m] = ((2 * m - 1 + k - x) * out[m - 1] - (m - 1 + k) * out[m - 2]) / m
     return out
+
+
+def laguerre(n: int, k: int, x: float) -> float:
+    """L_n^k(x), the last entry of `laguerre_seq`."""
+    return float(laguerre_seq(n, k, x)[n])
 
 
 def _inv_rising(n: int, k: int) -> float:
@@ -136,8 +128,8 @@ class ModeParams:
             raise ValueError(f"eta_r must be > 0, got {self.eta_r}")
 
 
-def coupling_f(n_c: int, n_r: int, k: int, modes: ModeParams) -> float:
-    """Sideband coupling amplitude f_k(n_c, n_r).
+def coupling_f_grid(n_max_c: int, n_max_r: int, k: int, modes: ModeParams) -> np.ndarray:
+    """Sideband coupling amplitudes f_k(n_c, n_r) over the grid, entry (n_c, n_r).
 
     Debye-Waller envelope times the k-th-sideband Laguerre factor of the
     c.m. mode and the zeroth-order (purely spectator) factor of the stretch
@@ -148,26 +140,21 @@ def coupling_f(n_c: int, n_r: int, k: int, modes: ModeParams) -> float:
 
     The factorial ratio is deliberately un-square-rooted: the ladder
     operators that accompany f_k in the drive Hamiltonian supply the other
-    half.
+    half.  This is the one implementation of the formula; `coupling_f`
+    reads a single cell of it.
     """
-    if n_c < 0 or n_r < 0:
-        raise ValueError(f"Fock labels must be >= 0, got ({n_c}, {n_r})")
+    if n_max_c < 0 or n_max_r < 0:
+        raise ValueError(f"Fock labels must be >= 0, got ({n_max_c}, {n_max_r})")
     if k < 0:
         raise ValueError(f"sideband order must be >= 0, got {k}")
     env = np.exp(-(modes.eta**2 + modes.eta_r**2) / 2.0)
-    return (
-        env
-        * _inv_rising(n_c, k)
-        * laguerre(n_c, k, modes.eta**2)
-        * laguerre(n_r, 0, modes.eta_r**2)
-    )
-
-
-def coupling_f_grid(n_max_c: int, n_max_r: int, k: int, modes: ModeParams) -> np.ndarray:
-    """f_k over the full grid, entry (n_c, n_r); bitwise equal to `coupling_f`."""
-    env = np.exp(-(modes.eta**2 + modes.eta_r**2) / 2.0)
     inv = np.array([_inv_rising(n_c, k) for n_c in range(n_max_c + 1)])
     return env * inv[:, None] * laguerre_seq(n_max_c, k, modes.eta**2)[:, None] * laguerre_seq(n_max_r, 0, modes.eta_r**2)
+
+
+def coupling_f(n_c: int, n_r: int, k: int, modes: ModeParams) -> float:
+    """Sideband coupling amplitude f_k(n_c, n_r): cell (n_c, n_r) of `coupling_f_grid`."""
+    return coupling_f_grid(n_c, n_r, k, modes)[n_c, n_r]
 
 
 # --------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import BichromaticParams, rabi_spectrum
+from .dynamics import BichromaticParams, min_gaps, rabi_spectrum
 from .fockspace import HilbertConfig, ModeParams, VibDensity, displacement
 
 WIGNER_BOUND = 4.0 / math.pi**2
@@ -555,14 +555,7 @@ def condition_report(p: BichromaticParams, n_fit_c: int, n_fit_r: int, taus) -> 
     """How identifiable the populations are for this drive and tau grid."""
     taus = np.asarray(taus, dtype=float)
     freqs = _fit_frequencies(p, n_fit_c, n_fit_r)
-    srt = np.sort(freqs)
-    diffs = np.diff(srt)
-    if diffs.size == 0:
-        min_abs = min_rel = 0.0
-    else:
-        min_abs = float(diffs.min())
-        ref = np.where(srt[1:] > 0, srt[1:], 1.0)
-        min_rel = float((diffs / ref).min())
+    min_abs, min_rel = min_gaps(freqs)
     recommended = math.pi / min_abs if min_abs > 0 else math.inf
     cond = float(np.linalg.cond(design_matrix(freqs, taus))) if taus.size else math.inf
     notes = []
@@ -587,9 +580,7 @@ def condition_report(p: BichromaticParams, n_fit_c: int, n_fit_r: int, taus) -> 
 def default_tau_grid(p: BichromaticParams, n_fit_c: int, n_fit_r: int) -> np.ndarray:
     """4 samples per unknown, spanning pi over the closest frequency gap."""
     freqs = _fit_frequencies(p, n_fit_c, n_fit_r)
-    srt = np.sort(freqs)
-    diffs = np.diff(srt)
-    min_abs = float(diffs.min()) if diffs.size else 0.0
+    min_abs = min_gaps(freqs)[0]
     if min_abs <= _FREQ_COLLISION_TOL:
         raise DegeneracyError("fit frequencies are degenerate; no finite tau span resolves them")
     return np.linspace(0.0, math.pi / min_abs, 4 * freqs.size)

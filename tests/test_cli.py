@@ -186,6 +186,22 @@ def test_main_calls_share_no_flag_state(tmp_path, capsys):
     assert "# seed = 11" in second and "# threads = 1" in second
 
 
+@pytest.mark.parametrize(
+    "seed_line, flags",
+    [("", ["--seed", "5"]), ("seed = 3\n", ["--seed", "5"]), ("", ["--seed", "0x10"])],
+    ids=["flag-only", "flag-over-key", "hex-flag"],
+)
+def test_seed_flag_writes_the_bytes_of_the_seed_key(tmp_path, seed_line, flags):
+    # the flag takes the key's place in the header echo and reads integer literals as the key does
+    def signal(name, line, extra):
+        text = SYNTH_CFG.replace("seed = 11\n", line)
+        assert main(["--config", _write(tmp_path, text, f"{name}.cfg"), "--out", str(tmp_path / name), "--quiet", *extra]) == 0
+        return (tmp_path / name / "signal.csv").read_bytes()
+
+    want = f"seed = {int(flags[1], 0)}\n"
+    assert signal("flag", seed_line, flags) == signal("key", want, [])
+
+
 # -- modes through main() --------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from vibronic import _kernels
 from vibronic import (
     AdiabaticityWarning,
     BichromaticAction,
@@ -428,6 +429,25 @@ def test_carrier_tones_stepper_matches_dense_oracle():
         out = propagate_bichromatic(p, config, psi0, t, dt_max=0.02)
         assert np.abs(out.amps - _oracle(p, config, psi0, t, 0.02).amps).max() < 1e-11
         assert abs(out.norm() - 1.0) < 1e-12
+
+
+def test_carrier_tones_store_each_entry_once(monkeypatch):
+    # both tones are one matrix M: the stepper gets the entries of M and of M^dag once, in two phase groups
+    seen = {}
+    stepper = _kernels.propagate_coo
+
+    def spy(rows, cols, vals, groups, *rest):
+        seen.update(nnz=vals.size, groups=sorted(set(groups.tolist())))
+        return stepper(rows, cols, vals, groups, *rest)
+
+    monkeypatch.setattr(_kernels, "propagate_coo", spy)
+    config = HilbertConfig(n_max_c=3, n_max_r=2)
+    p = BichromaticParams(
+        k=0, k_prime=0, delta=0.05, delta_prime=0.02, omega=0.04 * np.exp(0.3j),
+        phi=-0.2, phi0=0.7, modes=ModeParams(eta=0.2),
+    )
+    propagate_bichromatic(p, config, basis_state(config, "dd", 0, 0), 1.0)
+    assert seen == {"nnz": 8 * config.dim_vib, "groups": [0, 1]}
 
 
 @pytest.mark.parametrize("dt_max", [0.0, -0.05])

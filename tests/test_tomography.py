@@ -16,6 +16,7 @@ from vibronic import (
     HilbertConfig,
     ModeParams,
     PopulationEstimate,
+    RabiSpectrum,
     SignalRecord,
     StateSpec,
     WignerPoint,
@@ -28,6 +29,7 @@ from vibronic import (
     make_vib_state,
     protocol_run,
     rabi_effective,
+    rabi_spectrum,
     synth_signal,
     wigner_direct,
     wigner_from_populations,
@@ -461,6 +463,16 @@ def test_condition_report_flags_degenerate_k0():
     report = condition_report(p0, 3, 3, np.linspace(0.0, 100.0, 40))
     assert report.min_abs_gap == 0.0
     assert any("not identifiable" in note for note in report.notes)
+
+
+def test_tied_rates_count_as_a_zero_gap():
+    # eta_r = 1 is the root of L_1(eta_r^2) = 1 - eta_r^2: every n_r = 1 cell has rate 0, a tie
+    p = BichromaticParams.symmetric(k=1, delta=0.02, omega=0.05, modes=ModeParams(eta=0.23, eta_r=1.0))
+    spec = rabi_spectrum(p, 3, 1)
+    assert not np.any(spec.values[:, 1])
+    assert spec.min_relative_gap() == 0.0
+    assert condition_report(p, 3, 1, np.linspace(0.0, 100.0, 40)).min_relative_gap == 0.0
+    assert RabiSpectrum(values=np.array([[1.0, 1.0], [2.0, 3.0]]), params=DRIVE).min_relative_gap() == 0.0
 
 
 def test_condition_report_recommends_wider_span():
