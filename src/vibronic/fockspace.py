@@ -342,7 +342,7 @@ def _displacement_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def displacement(alpha: complex, mode: str, config: HilbertConfig) -> np.ndarray:
+def displacement(alpha, mode: str, config: HilbertConfig) -> np.ndarray:
     """Displacement unitary exp(alpha a^dag - alpha* a) on one mode.
 
     With theta = arg(alpha) and R = diag(e^{i theta n}), the generator is
@@ -353,6 +353,10 @@ def displacement(alpha: complex, mode: str, config: HilbertConfig) -> np.ndarray
     generator and exactly unitary on the grid.  Large displacements relative
     to the truncation are flagged: |alpha|^2 > n_max/4 leaves too little
     headroom for the displaced populations to decay before the cutoff.
+
+    A 1-d array of P values gives the (P, dim, dim) stack, each entry bit for
+    bit its own value's matrix, with one warning per flagged value.
+    Non-finite values raise ValueError.
     """
     if mode == "c":
         dim, n_max = config.dim_c, config.n_max_c
@@ -360,16 +364,20 @@ def displacement(alpha: complex, mode: str, config: HilbertConfig) -> np.ndarray
         dim, n_max = config.dim_r, config.n_max_r
     else:
         raise ValueError(f"mode must be 'c' or 'r', got {mode!r}")
-    if abs(alpha) ** 2 > n_max / 4.0:
+    alpha = np.asarray(alpha, dtype=complex)
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("displacement alpha must be finite")
+    mag = np.hypot(alpha.real, alpha.imag)  # libm's hypot, as abs(complex); np.abs differs in the last bit
+    for big in mag[mag**2 > n_max / 4.0]:
         warnings.warn(
-            f"displacement |alpha|^2 = {abs(alpha)**2:.3g} exceeds n_max/4 = "
+            f"displacement |alpha|^2 = {big**2:.3g} exceeds n_max/4 = "
             f"{n_max / 4.0:.3g} on mode {mode!r}; truncation artifacts likely",
             TruncationWarning,
             stacklevel=2,
         )
     w, v, v_dag = _displacement_basis(dim)
-    rot = np.exp(1j * np.angle(alpha) * np.arange(dim))
-    return (rot[:, None] * v * np.exp(-1j * abs(alpha) * w)) @ (v_dag * rot.conj())
+    rot = np.exp(1j * np.angle(alpha)[..., None] * np.arange(dim))
+    return (rot[..., :, None] * v * np.exp(-1j * mag[..., None] * w)[..., None, :]) @ (v_dag * rot.conj()[..., None, :])
 
 
 # --------------------------------------------------------------------------

@@ -19,11 +19,10 @@ normalized so the vacuum origin reads 4/pi^2.  wigner_direct computes the
 same value from the exact displaced populations and serves as the oracle for
 the full simulated protocol.
 
-The cos^2 designs depend only on the drive, the tau grid and the grid
-sizes, so protocol_run builds them once per run.  Each displacement point is
-then displaced once: displaced_populations forms only the diagonal of
-U^dag rho U, and those populations feed both the drawn record, which is
-solved, and the exact Wigner value returned next to the estimate.
+protocol_run runs a scan as one batch: one displaced_populations call for
+all points, one stacked product for their signals and one shot-draw loop.
+Each point's populations also give its exact Wigner value, and each point's
+record is then solved on its own.
 
 Shot noise draws sample j of a record seeded with s from the substream
 SeedSequence((s, j)) through PCG64.  Those substreams are computed in one
@@ -41,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,6 +68,17 @@ class DegeneracyError(ValueError):
     """The measurement model cannot tell the fitted populations apart."""
 
 
+def _require_finite(name: str, values) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} values must be finite")
+
+
+def _check_taus(taus: np.ndarray) -> None:
+    _require_finite("taus", taus)
+    if taus.size > 1 and not np.all(np.diff(taus) > 0):
+        raise DegeneracyError("taus must be strictly increasing (degenerate sampling grid)")
+
+
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
@@ -93,11 +104,8 @@ class SignalRecord:
         shots = np.asarray(self.shots, dtype=int)
         if not (taus.shape == p_dd.shape == shots.shape) or taus.ndim != 1:
             raise ValueError("taus, p_dd and shots must be 1-d arrays of equal length")
-        for name, values in (("taus", taus), ("p_dd", p_dd)):
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} values must be finite")
-        if taus.size > 1 and not np.all(np.diff(taus) > 0):
-            raise DegeneracyError("taus must be strictly increasing (degenerate sampling grid)")
+        _check_taus(taus)
+        _require_finite("p_dd", p_dd)
         if np.any((p_dd < 0) | (p_dd > 1)):
             raise ValueError("p_dd values must lie in [0, 1]")
         if np.any(shots < 0):
@@ -178,8 +186,8 @@ class PopulationEstimate:
         pi = np.asarray(self.pi, dtype=float)
         if np.any(pi < 0):
             raise ValueError("populations must be nonnegative")
-        if pi.sum() > 1.0 + 1e-6:
-            raise ValueError(f"populations sum to {pi.sum():.8f} > 1")
+        if not pi.sum() <= 1.0 + 1e-6:  # a nan or +inf entry fails too
+            raise ValueError(f"populations sum to {pi.sum():.8f}; need a finite sum <= 1")
         object.__setattr__(self, "pi", pi)
 
 
@@ -190,8 +198,8 @@ class WignerPoint:
     w: float
 
     def __post_init__(self):
-        if abs(self.w) > WIGNER_BOUND + 1e-6:
-            raise ValueError(f"|w| = {abs(self.w):.6f} exceeds the two-mode bound 4/pi^2")
+        if not abs(self.w) <= WIGNER_BOUND + 1e-6:  # nan fails too
+            raise ValueError(f"|w| = {abs(self.w):.6f} is outside the two-mode bound 4/pi^2")
 
 
 @dataclass(frozen=True)
@@ -242,18 +250,26 @@ def displace_vib(rho: VibDensity, alpha_c: complex, alpha_r: complex) -> VibDens
     return VibDensity(u.conj().T @ rho.matrix @ u, rho.config)
 
 
-def displaced_populations(rho: VibDensity, alpha_c: complex, alpha_r: complex) -> np.ndarray:
+def displaced_populations(rho: VibDensity, alpha_c, alpha_r) -> np.ndarray:
     """Fock populations of displace_vib(rho, alpha_c, alpha_r) as a real (dim_c, dim_r) grid.
 
     Only the diagonal of U^dag rho U is formed, Pi_j = sum_i conj(U_ij)
     (rho U)_ij with U = D_c(alpha_c) (x) D_r(alpha_r): one dim_vib^3 product
-    where displace_vib takes two.
+    where displace_vib takes two.  Equal-length 1-d arrays of P points give
+    the (P, dim_c, dim_r) stack from one displacement call per mode; U and
+    its product are formed one point at a time, so only one U is held.
     """
     cfg = rho.config
-    dc = displacement(alpha_c, "c", cfg)
-    dr = displacement(alpha_r, "r", cfg)
-    u = (dc[:, None, :, None] * dr[None, :, None, :]).reshape(cfg.dim_vib, cfg.dim_vib)
-    return np.sum(u.conj() * (rho.matrix @ u), axis=0).real.reshape(cfg.dim_c, cfg.dim_r)
+    alpha_c, alpha_r = np.asarray(alpha_c), np.asarray(alpha_r)
+    if alpha_c.shape != alpha_r.shape or alpha_c.ndim > 1:
+        raise ValueError("alpha_c and alpha_r must be scalars or 1-d arrays of equal length")
+    dc = displacement(alpha_c.reshape(-1), "c", cfg)
+    dr = displacement(alpha_r.reshape(-1), "r", cfg)
+    pops = np.empty((dc.shape[0], cfg.dim_c, cfg.dim_r))
+    for out, d_c, d_r in zip(pops, dc, dr):
+        u = (d_c[:, None, :, None] * d_r[None, :, None, :]).reshape(cfg.dim_vib, cfg.dim_vib)
+        out[:] = np.sum(u.conj() * (rho.matrix @ u), axis=0).real.reshape(cfg.dim_c, cfg.dim_r)
+    return pops.reshape(alpha_c.shape + (cfg.dim_c, cfg.dim_r))
 
 
 def synth_signal(
@@ -274,36 +290,34 @@ def synth_signal(
     return _draw(a, rho.populations(), taus, p, shots, seed)
 
 
-def _draw(
-    a: np.ndarray,
-    pops: np.ndarray,
-    taus: np.ndarray,
-    p: BichromaticParams,
-    shots: int,
-    seed: int,
-    streams: list[tuple[int, int]] | None = None,
-) -> SignalRecord:
-    """One record of the Fock populations ``pops`` through ``a``, the cos^2 design on their full grid.
+def _draw(a: np.ndarray, pops: np.ndarray, taus: np.ndarray, p: BichromaticParams, shots: int, seed: int) -> SignalRecord:
+    """One record of the Fock populations ``pops`` through ``a``, the cos^2 design on their full grid."""
+    streams = _pcg64_streams(_seed_column(seed), taus.size) if shots > 0 else None
+    p_dd = _sample(a @ pops.ravel(), shots, streams)
+    return SignalRecord(taus=taus, p_dd=p_dd, shots=np.full(taus.size, shots), params=p, seed=seed)
 
-    ``streams`` holds the PCG64 (state, inc) of SeedSequence((seed, j)) for
-    each sample j; it is hashed here when the caller has not batched it.
+
+def _sample(probs: np.ndarray, shots: int, streams) -> np.ndarray:
+    """The clipped probabilities, or with shots > 0 a binomial count / shots for each.
+
+    Draw j sets the PCG64 (state, inc) streams[j] on one reused Generator.
     """
     if shots < 0:
         raise ValueError("shots must be >= 0")
-    probs = np.clip(a @ pops.ravel(), 0.0, 1.0)
+    _require_finite("p_dd", probs)
+    probs = np.clip(probs, 0.0, 1.0)
     if shots == 0:
-        return SignalRecord(taus=taus, p_dd=probs, shots=np.zeros(taus.size, int), params=p, seed=seed)
-    if streams is None:
-        streams = _pcg64_streams(_seed_column(seed), taus.size)[0]
+        return probs
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
-    drawn = np.empty(taus.size)
-    for j, ((state, inc), prob) in enumerate(zip(streams, probs)):
-        bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0,
-        }
-        drawn[j] = rng.binomial(shots, prob) / shots
-    return SignalRecord(taus=taus, p_dd=drawn, shots=np.full(taus.size, shots), params=p, seed=seed)
+    words = {}
+    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
+    counts = np.empty(probs.size, np.int64)
+    for j, ((pcg_state, inc), prob) in enumerate(zip(streams, probs.tolist())):
+        words["state"], words["inc"] = pcg_state, inc
+        bit_generator.state = state
+        counts[j] = rng.binomial(shots, prob)
+    return counts / shots
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +384,8 @@ def _point_seeds(seed, count: int) -> np.ndarray:
     return _substream_words(_seed_column(seed), count, 1)[0]
 
 
-def _pcg64_streams(seed_words: np.ndarray, count: int) -> list[list[tuple[int, int]]]:
-    """PCG64(SeedSequence((s, j))) (state, inc) for every seed column s and j < count.
+def _pcg64_streams(seed_words: np.ndarray, count: int) -> list[tuple[int, int]]:
+    """PCG64(SeedSequence((s, j))) (state, inc) for every seed column s and j < count, s-major.
 
     PCG64 takes generate_state(4, uint64) as (initstate, initseq), high
     word first, and seeds inc = 2 initseq + 1 and
@@ -385,7 +399,7 @@ def _pcg64_streams(seed_words: np.ndarray, count: int) -> list[list[tuple[int, i
     for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
         inc = (((seq_hi << 64 | seq_lo) << 1) | 1) & _MASK128
         streams.append((((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return [streams[i * count : (i + 1) * count] for i in range(seed_words.shape[1])]
+    return streams
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +421,7 @@ def invert_populations(
     A solution summing above 1 is rescaled onto the probability simplex.
     """
     a = _fit_design(record.params, n_fit_c, n_fit_r, record.taus)
-    return _solve(a, float(np.linalg.cond(a)), record.p_dd, (n_fit_c + 1, n_fit_r + 1), ridge)
+    return _solve(a, float(np.linalg.cond(a)), _ridge_design(a, ridge), record.p_dd, (n_fit_c + 1, n_fit_r + 1))
 
 
 def _fit_design(p: BichromaticParams, n_fit_c: int, n_fit_r: int, taus: np.ndarray) -> np.ndarray:
@@ -423,16 +437,16 @@ def _fit_design(p: BichromaticParams, n_fit_c: int, n_fit_r: int, taus: np.ndarr
     return design_matrix(freqs, taus)
 
 
-def _solve(a: np.ndarray, cond: float, p_dd: np.ndarray, shape: tuple[int, int], ridge: float) -> PopulationEstimate:
+def _ridge_design(a: np.ndarray, ridge: float) -> np.ndarray:
+    """``a`` with sqrt(ridge) times the identity stacked below it when ridge > 0."""
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    n_unknown = a.shape[1]
-    if ridge > 0:
-        a_solve = np.vstack([a, math.sqrt(ridge) * np.eye(n_unknown)])
-        b_solve = np.concatenate([p_dd, np.zeros(n_unknown)])
-    else:
-        a_solve, b_solve = a, p_dd
-    x, _ = nnls(a_solve, b_solve)
+    return np.vstack([a, math.sqrt(ridge) * np.eye(a.shape[1])]) if ridge > 0 else a
+
+
+def _solve(a: np.ndarray, cond: float, a_solve: np.ndarray, p_dd: np.ndarray, shape: tuple[int, int]) -> PopulationEstimate:
+    """NNLS of p_dd, zero-padded to the rows of ``a_solve`` (the ridge design of ``a``)."""
+    x, _ = nnls(a_solve, np.concatenate([p_dd, np.zeros(a_solve.shape[0] - a.shape[0])]))
     total = x.sum()
     if total > 1.0:
         x = x / total
@@ -466,9 +480,13 @@ def _frequency_collisions(freqs: np.ndarray, shape: tuple[int, int]):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
 def _parity_signs(shape: tuple[int, int]) -> np.ndarray:
+    """(-1)^(n_c + n_r) on a grid, built once per shape and read-only."""
     nc, nr = np.indices(shape)
-    return (-1.0) ** (nc + nr)
+    signs = (-1.0) ** (nc + nr)
+    signs.setflags(write=False)
+    return signs
 
 
 def _parity_sum(pops: np.ndarray) -> float:
@@ -509,13 +527,12 @@ def protocol_run(
     """displace -> synthesize -> invert -> Wigner, per displacement point.
 
     Fit-grid sizes default to n_max - 2 per mode and may not exceed that
-    (the topmost levels carry truncation error).  Both designs depend only
-    on the drive, the tau grid and the grid sizes, so they are built once
-    per run.  Each point is displaced once; its populations feed both the
-    simulated signal and the exact Wigner value ``w_exact``.  Point idx uses
-    the substream (seed, idx), so each estimate equals displace_vib ->
-    synth_signal -> invert_populations up to the last digits of the
-    displaced populations.
+    (the topmost levels carry truncation error).  The tau grid is checked
+    before any point is displaced, and the designs, the ridge design and the
+    parity signs are built once per run.  Point idx draws from the substream
+    (seed, idx), so each estimate equals displace_vib -> synth_signal ->
+    invert_populations up to the last digits of the displaced populations,
+    and ``w_exact`` is the parity sum of those populations.
     """
     cfg = rho.config
     if n_fit_c is None:
@@ -530,19 +547,23 @@ def protocol_run(
     if min(n_fit_c, n_fit_r) < 0:
         raise ValueError("fit grid must be nonnegative; enlarge the truncation")
     taus = np.asarray(taus, dtype=float)
+    _check_taus(taus)
     synth = design_matrix(_fit_frequencies(p, cfg.n_max_c, cfg.n_max_r), taus)
     fit = _fit_design(p, n_fit_c, n_fit_r, taus)
     cond = float(np.linalg.cond(fit))
+    fit_solve = _ridge_design(fit, ridge)
     alphas = list(alphas)
     point_seeds = _point_seeds(seed, len(alphas))
-    streams = _pcg64_streams(point_seeds[None, :], taus.size) if shots > 0 else [None] * len(alphas)
+    streams = _pcg64_streams(point_seeds[None, :], taus.size) if shots > 0 else None
+    pops = displaced_populations(rho, *np.array(alphas, complex).reshape(len(alphas), 2).T)
+    # bit for bit synth @ pops per point, which pops @ synth.T is not
+    probs = (synth @ pops.reshape(len(alphas), cfg.dim_vib, 1))[..., 0]
+    p_dd = _sample(probs.ravel(), shots, streams).reshape(probs.shape)
     points = []
-    for idx, (alpha_c, alpha_r) in enumerate(alphas):
-        pops = displaced_populations(rho, alpha_c, alpha_r)
-        record = _draw(synth, pops, taus, p, shots, int(point_seeds[idx]), streams[idx])
-        est = _solve(fit, cond, record.p_dd, (n_fit_c + 1, n_fit_r + 1), ridge)
-        w = wigner_from_populations(est)
-        points.append(ProtocolPoint(wigner=WignerPoint(alpha_c, alpha_r, w), estimate=est, w_exact=_parity_sum(pops)))
+    for (ac, ar), exact, record in zip(alphas, pops, p_dd):
+        est = _solve(fit, cond, fit_solve, record, (n_fit_c + 1, n_fit_r + 1))
+        w = WignerPoint(ac, ar, wigner_from_populations(est))
+        points.append(ProtocolPoint(wigner=w, estimate=est, w_exact=_parity_sum(exact)))
     return points
 
 

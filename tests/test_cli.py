@@ -432,6 +432,8 @@ def test_effective_evolve_forms_no_density_matrix(tmp_path):
 
 
 def test_wigner_displaces_each_point_once(tmp_path, monkeypatch):
+    # the whole scan is one displacement call per mode, and across those
+    # calls every point's alpha appears exactly once, in point order
     import vibronic.fockspace as fockspace
     import vibronic.tomography as tomography
 
@@ -439,19 +441,20 @@ def test_wigner_displaces_each_point_once(tmp_path, monkeypatch):
     real = fockspace.displacement
 
     def counting(alpha, mode, config):
-        calls.append(mode)
+        calls.append((mode, np.atleast_1d(alpha).tolist()))
         return real(alpha, mode, config)
 
     monkeypatch.setattr(fockspace, "displacement", counting)
     monkeypatch.setattr(tomography, "displacement", counting)
-    counts = {}
     for n_points in (1, 7):
         calls.clear()
         text = WIGNER_CFG.replace("alpha_c_line = 0.0, 0.6, 5", f"alpha_c_line = 0.0, 0.6, {n_points}")
         args = ["--config", _write(tmp_path, text), "--out", str(tmp_path / f"out{n_points}"), "--quiet"]
         assert main(args) == 0
-        counts[n_points] = len(calls)
-    assert counts == {1: 2, 7: 14}
+        alphas = parse_config(text).alphas
+        assert len(alphas) == n_points
+        assert sorted(mode for mode, _ in calls) == ["c", "r"]
+        assert dict(calls) == {"c": [complex(ac) for ac, _ in alphas], "r": [complex(ar) for _, ar in alphas]}
 
 
 def test_effective_evolve_warns_on_marginal_detuning(tmp_path):

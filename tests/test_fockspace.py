@@ -222,6 +222,39 @@ def test_displacement_truncation_warning():
         displacement(0.2, "c", cfg)  # |alpha|^2 = 0.04 < 1: silent
 
 
+STACK_ALPHAS = (0.0, 0.7 + 0.4j, -0.3 + 1.1j, -0.9 - 0.2j, 0.5 - 0.8j, 1.3, -0.6j, 2.5 + 0.1j)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 21])
+@pytest.mark.parametrize("mode", ["c", "r"])
+def test_stacked_displacement_equals_per_alpha_calls(dim, mode):
+    # alpha = 0, all four quadrants, both axes; the large ones warn on small grids
+    cfg = HilbertConfig(n_max_c=dim - 1, n_max_r=dim - 1)
+    with warnings.catch_warnings(record=True) as per_alpha:
+        warnings.simplefilter("always")
+        singles = [displacement(alpha, mode, cfg) for alpha in STACK_ALPHAS]
+    with warnings.catch_warnings(record=True) as stacked:
+        warnings.simplefilter("always")
+        stack = displacement(np.array(STACK_ALPHAS), mode, cfg)
+    assert stack.shape == (len(STACK_ALPHAS), dim, dim)
+    for single, entry in zip(singles, stack):
+        assert single.shape == (dim, dim)
+        assert np.array_equal(single, entry)
+    assert [str(w.message) for w in stacked] == [str(w.message) for w in per_alpha]
+    assert all(w.category is TruncationWarning for w in stacked)
+    assert len(stacked) >= 1
+    assert displacement(np.array([], complex), mode, cfg).shape == (0, dim, dim)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), complex(0.3, float("nan")), float("inf"), complex(float("-inf"), 0.0)])
+def test_displacement_rejects_non_finite_alpha(bad):
+    cfg = HilbertConfig(n_max_c=6, n_max_r=2)
+    with pytest.raises(ValueError, match="finite"):
+        displacement(bad, "c", cfg)
+    with pytest.raises(ValueError, match="finite"):
+        displacement(np.array([0.2, bad, 0.1j]), "r", cfg)
+
+
 def test_thermal_weights_geometric():
     w = thermal_weights(0.5, 40)
     # frozen from nbar^n/(nbar+1)^(n+1); renormalization on 40 levels is ~1e-8

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import signal
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,7 +36,7 @@ from vibronic import (
     wigner_from_populations,
 )
 from vibronic.dynamics import HermitianPropagator
-from vibronic.fockspace import TruncationWarning, VibDensity, basis_state
+from vibronic.fockspace import TruncationWarning, VibDensity, basis_state, displacement
 
 MODES = ModeParams(eta=0.23)
 DRIVE = BichromaticParams.symmetric(k=1, delta=0.02, omega=0.05, modes=MODES)
@@ -143,6 +144,23 @@ def test_displaced_populations_match_displace_vib(grid):
                 assert np.abs(pops - displace_vib(rho, ac, ar).populations()).max() < 1e-13
 
 
+@pytest.mark.parametrize("grid", [(9, 3), (0, 5), (6, 6)])
+def test_array_displaced_populations_equal_per_point_calls(grid):
+    config = HilbertConfig(*grid)
+    rho = _random_density(config, 7)
+    points = [(0.0, 0.0), (0.4 + 0.3j, -0.2 + 0.5j), (-0.7j, 0.3), (-0.5 - 0.1j, -0.4 - 0.4j), (0.2, 0.0)]
+    alpha_c, alpha_r = (np.array(col, complex) for col in zip(*points))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        stack = displaced_populations(rho, alpha_c, alpha_r)
+        assert stack.shape == (len(points), config.dim_c, config.dim_r)
+        for pops, (ac, ar) in zip(stack, points):
+            assert np.array_equal(pops, displaced_populations(rho, ac, ar))
+    assert displaced_populations(rho, alpha_c[:0], alpha_r[:0]).shape == (0, config.dim_c, config.dim_r)
+    with pytest.raises(ValueError, match="equal length"):
+        displaced_populations(rho, alpha_c, alpha_r[:-1])
+
+
 # ---------------------------------------------------------------------------
 # signal synthesis
 # ---------------------------------------------------------------------------
@@ -182,8 +200,8 @@ SUBSTREAM_SEEDS = [0, 1, 7, 12345, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**130 + 
 def test_batched_substreams_equal_per_sample_seed_sequences(seed):
     taus = np.linspace(0.0, 200.0, 40)
     streams = tomography._pcg64_streams(tomography._seed_column(seed), taus.size)
-    assert len(streams) == 1
-    for j, stream in enumerate(streams[0]):
+    assert len(streams) == taus.size
+    for j, stream in enumerate(streams):
         state = np.random.PCG64(np.random.SeedSequence((seed, j))).state["state"]
         assert stream == (state["state"], state["inc"])
     rho = vacuum(6, 3)
@@ -351,6 +369,14 @@ def test_wigner_matches_population_path_exactly():
         assert abs(wigner_from_populations(est) - wigner_direct(rho, ac, ar)) < 1e-12
 
 
+def test_nan_values_are_rejected():
+    with pytest.raises(ValueError, match="nan is outside the two-mode bound"):
+        WignerPoint(alpha_c=0.0, alpha_r=0.0, w=float("nan"))
+    for grid in ([[float("nan")]], [[0.2, float("nan")]], [[0.1, float("inf")]]):
+        with pytest.raises(ValueError, match="need a finite sum"):
+            PopulationEstimate(pi=np.array(grid), residual_norm=0.0, condition_number=1.0)
+
+
 def test_wigner_point_bound_enforced():
     with pytest.raises(ValueError):
         WignerPoint(alpha_c=0.0, alpha_r=0.0, w=0.5)
@@ -404,6 +430,98 @@ def test_protocol_equals_per_point_public_path(shots, ridge):
         assert pt.estimate.residual_norm == est.residual_norm
         assert pt.estimate.condition_number == est.condition_number
         assert pt.wigner.w == wigner_from_populations(est)
+
+
+def _per_point_reference(rho, grid, taus, shots, seed, n_fit, ridge):
+    """protocol_run spelled out point by point from the module's own steps."""
+    cfg = rho.config
+    synth = tomography.design_matrix(tomography._fit_frequencies(DRIVE, cfg.n_max_c, cfg.n_max_r), taus)
+    fit = tomography._fit_design(DRIVE, *n_fit, taus)
+    cond = float(np.linalg.cond(fit))
+    out = []
+    for idx, (ac, ar) in enumerate(grid):
+        u = np.kron(displacement(ac, "c", cfg), displacement(ar, "r", cfg))
+        pops = np.sum(u.conj() * (rho.matrix @ u), axis=0).real.reshape(cfg.dim_c, cfg.dim_r)
+        point_seed = int(np.random.SeedSequence((seed, idx)).generate_state(1)[0])
+        record = tomography._draw(synth, pops, taus, DRIVE, shots, point_seed)
+        est = tomography._solve(fit, cond, tomography._ridge_design(fit, ridge), record.p_dd, (n_fit[0] + 1, n_fit[1] + 1))
+        out.append((est, tomography._parity_sum(est.pi), tomography._parity_sum(pops)))
+    return out
+
+
+PROTOCOL_STATES = {
+    "thermal": StateSpec.thermal(0.3, 0.05),
+    "coherent": StateSpec.coherent(0.35 - 0.2j, -0.1 + 0.25j),
+    "superposition": StateSpec.superposition([(0, 0, 1.0), (2, 1, 0.4 - 0.7j), (1, 2, 0.3j)]),
+}
+PROTOCOL_GRID = [(0.0, 0.0), (0.3 - 0.2j, 0.1j), (-0.5 + 0.1j, 0.2 + 0.2j), (-0.2 - 0.4j, -0.3 - 0.1j), (0.6, -0.25j)]
+
+
+@pytest.mark.parametrize("kind", sorted(PROTOCOL_STATES))
+@pytest.mark.parametrize("shots", [0, 300])
+@pytest.mark.parametrize("ridge", [0.0, 1e-3])
+def test_protocol_equals_per_point_reference_bitwise(kind, shots, ridge):
+    rho = make_vib_state(PROTOCOL_STATES[kind], HilbertConfig(n_max_c=12, n_max_r=6))
+    taus = default_tau_grid(DRIVE, 10, 2)
+    points = protocol_run(rho, PROTOCOL_GRID, taus, DRIVE, shots=shots, seed=6, n_fit_c=10, n_fit_r=2, ridge=ridge)
+    reference = _per_point_reference(rho, PROTOCOL_GRID, taus, shots, 6, (10, 2), ridge)
+    assert len(points) == len(reference)
+    for pt, (ac, ar), (est, w, w_exact) in zip(points, PROTOCOL_GRID, reference):
+        assert (pt.wigner.alpha_c, pt.wigner.alpha_r) == (ac, ar)
+        assert np.array_equal(pt.estimate.pi, est.pi)
+        assert pt.estimate.residual_norm == est.residual_norm
+        assert pt.estimate.condition_number == est.condition_number
+        assert pt.wigner.w == w
+        assert pt.w_exact == w_exact
+
+
+@pytest.mark.parametrize(
+    "taus, error, message",
+    [
+        (np.array([0.0, 5.0, 5.0, 9.0] + list(np.linspace(10.0, 900.0, 40))), DegeneracyError, "strictly increasing"),
+        (np.linspace(900.0, 0.0, 44), DegeneracyError, "strictly increasing"),
+        (np.array([0.0, float("nan")] + list(np.linspace(10.0, 900.0, 42))), ValueError, "taus values must be finite"),
+    ],
+)
+def test_protocol_checks_tau_grid_before_displacing(taus, error, message, monkeypatch):
+    calls = []
+    real = tomography.displacement
+
+    def counting(alpha, mode, config):
+        calls.append(mode)
+        return real(alpha, mode, config)
+
+    monkeypatch.setattr(tomography, "displacement", counting)
+    for shots in (0, 300):
+        with pytest.raises(error, match=message):
+            protocol_run(vacuum(), LINE, taus, DRIVE, shots=shots, n_fit_c=10, n_fit_r=2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("shots", [0, 300])
+def test_protocol_rejects_nan_state(shots):
+    config = HilbertConfig(n_max_c=12, n_max_r=4)
+    matrix = vacuum().matrix.copy()
+    matrix[3, 3] = np.nan
+    with pytest.raises(ValueError, match="p_dd values must be finite"):
+        protocol_run(VibDensity(matrix, config), LINE, default_tau_grid(DRIVE, 10, 2), DRIVE, shots=shots, n_fit_c=10, n_fit_r=2)
+
+
+def test_protocol_scan_memory_stays_per_point():
+    # a 21-point scan at grid (20, 4) peaks near 2 MB; stacking every
+    # point's 105 x 105 unitary at once would take it past 11 MB
+    rho = vacuum(20, 4)
+    taus = default_tau_grid(DRIVE, 18, 2)
+    grid = [(0.05 * i - 0.2j, 0.03 * i) for i in range(21)]
+    protocol_run(rho, grid[:2], taus, DRIVE, shots=3000, seed=2, n_fit_c=18, n_fit_r=2)  # loads scipy, fills caches
+    tracemalloc.start()
+    try:
+        points = protocol_run(rho, grid, taus, DRIVE, shots=3000, seed=2, n_fit_c=18, n_fit_r=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(points) == len(grid)
+    assert peak < 4e6
 
 
 def test_protocol_builds_design_once_per_run(monkeypatch):
