@@ -16,7 +16,6 @@ from .fockspace import (
     STRETCH_LD_RATIO,
     HilbertConfig,
     JointState,
-    ModeOperators,
     ModeParams,
     StateSpec,
     TruncationWarning,
@@ -24,14 +23,12 @@ from .fockspace import (
     basis_state,
     coupling_f,
     coupling_f_grid,
-    density_defects,
     displacement,
     fidelity,
     laguerre,
     laguerre_seq,
     make_vib_state,
     make_vib_vector,
-    mode_operators,
     reduce_electronic,
     reduce_vibrational,
     thermal_weights,
@@ -43,7 +40,6 @@ from .dynamics import (
     BichromaticAction,
     BichromaticParams,
     CarrierParams,
-    ConvergenceWarning,
     FactoredPropagator,
     HermitianPropagator,
     RabiSpectrum,
@@ -57,7 +53,6 @@ from .dynamics import (
     effective_factors,
     omega_k_scale,
     propagate_bichromatic,
-    propagate_const,
     propagate_timedep,
     rabi_effective,
     rabi_spectrum,

@@ -49,7 +49,6 @@ from .dynamics import (
     build_effective_H,
     closed_form_carrier,
     closed_form_dispersive,
-    propagate_const,
     rabi_effective,
     rabi_spectrum,
 )
@@ -109,7 +108,7 @@ def check_closed_forms(draws: int = 50, tol: float = 1e-10) -> AcceptanceResult:
         n_c = int(rng.integers(0, 9))
         n_r = int(rng.integers(0, 9))
         t = float(rng.uniform(0, 3.0) / max(abs(rabi_effective(n_c, n_r, p)), 1e-6))
-        out = propagate_const(h, basis_state(config, "dd", n_c, n_r), t).tensor()
+        out = HermitianPropagator(h).apply(basis_state(config, "dd", n_c, n_r), t).tensor()
         a_dd, a_uu = closed_form_dispersive(n_c, n_r, p, t)
         worst = max(worst, abs(out[0, n_c, n_r] - a_dd), abs(out[3, n_c, n_r] - a_uu))
 
@@ -124,7 +123,7 @@ def check_closed_forms(draws: int = 50, tol: float = 1e-10) -> AcceptanceResult:
         uu = basis_state(config, "uu", n_c, n_r)
         start = JointState(amps=(dd.amps + sign * uu.amps) / np.sqrt(2.0), config=config)
         t0 = float(rng.uniform(0, 40.0))
-        got = propagate_const(build_carrier_H(pc, config), start, t0).tensor()[:, n_c, n_r]
+        got = HermitianPropagator(build_carrier_H(pc, config)).apply(start, t0).tensor()[:, n_c, n_r]
         worst = max(worst, float(np.abs(got - closed_form_carrier(sign, pc, n_c, n_r, t0)).max()))
     return AcceptanceResult(
         1, "closed-form equivalence",

@@ -277,8 +277,8 @@ def thermal_bell_scan(
         raise ValueError("t_pulse must be positive")
     dims = []
     for nbar, given in zip((nbar_c, nbar_r), n_max or (None, None)):
-        if nbar < 0:
-            raise ValueError("nbar must be non-negative")
+        if not (math.isfinite(nbar) and nbar >= 0):
+            raise ValueError(f"nbar must be a finite number >= 0, got {nbar}")
         if given is None:
             given = _auto_box(nbar)
         tail = (nbar / (1.0 + nbar)) ** (given + 1) if nbar > 0 else 0.0

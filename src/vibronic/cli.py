@@ -257,24 +257,20 @@ class RunConfig:
     echo: tuple[tuple[str, str], ...] = ()
 
 
-def parse_config(text: str, seed_override: int | None = None, threads_override: int | None = None) -> RunConfig:
+def parse_config(text: str, seed_override: int | None = None) -> RunConfig:
     """Validate config text into a RunConfig with all defaults resolved."""
     reader = _Reader(_scan(text))
     mode = reader.string("mode", choices=set(MODES), required=True)
-    # the flags follow the rules of the keys they override
+    # the flag follows the rules of the key it overrides
     if seed_override is not None and seed_override < 0:
         raise ConfigError(f"'--seed' must be >= 0, got {seed_override}")
-    if threads_override is not None and threads_override < 1:
-        raise ConfigError(f"'--threads' must be >= 1, got {threads_override}")
     seed = reader.number("seed", default=0, lo=0, integer=True)
     # 'threads' is still accepted, range-checked and echoed so that older configs parse; runs are serial
     reader.number("threads", default=1, lo=1, integer=True)
-    # a flag replaces the file value and its echo entry in place, so the header keeps one order
+    # the flag replaces the file value and its echo entry in place, so the header keeps one order
     if seed_override is not None:
         seed = seed_override
         reader.echo[-2] = ("seed", f"{seed}")
-    if threads_override is not None:
-        reader.echo[-1] = ("threads", f"{threads_override}")
 
     if mode == "validate":
         reader.reject_unknown()
@@ -617,7 +613,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the run configuration file")
     parser.add_argument("--out", required=True, help="output directory (created if missing)")
     parser.add_argument("--seed", type=_integer, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=_integer, default=None, help="accepted for older configs; has no effect")
     parser.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
     return parser
 
@@ -637,7 +632,7 @@ def main(argv: list[str] | None = None) -> int:
         return 4
 
     try:
-        config = parse_config(text, seed_override=args.seed, threads_override=args.threads)
+        config = parse_config(text, seed_override=args.seed)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -38,9 +38,9 @@ Both static generators have the form kron(M4, diag a), with M4 a 4x4
 electronic matrix and a the per-level rates (effective_factors,
 carrier_factors).  FactoredPropagator applies e^{-i H t} from one 4x4
 eigh, in O(dim) per step, without forming H.  The dense builders
-build_effective_H and build_carrier_H, HermitianPropagator and
-propagate_const stay as the reference that acceptance checks 1 and 2 and
-the tests hold the factored path to.
+build_effective_H and build_carrier_H, applied with HermitianPropagator,
+stay as the reference that acceptance checks 1 and 2 and the tests hold
+the factored path to.
 
 Complex Omega is allowed everywhere: only |Omega| and the effective phase
 phi_eff = phi + arg(Omega) enter the physics.
@@ -48,6 +48,7 @@ phi_eff = phi + arg(Omega) enter the physics.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -75,10 +76,6 @@ class AdiabaticityWarning(UserWarning):
     """Dispersive-elimination premise |delta| >> coupling is marginal."""
 
 
-class ConvergenceWarning(UserWarning):
-    """Step-halving check of the time-dependent propagator failed."""
-
-
 _RW_FRACTION = 0.2  # |delta| / nu beyond which the sideband picture degrades
 
 
@@ -86,6 +83,13 @@ def _check_int(name: str, value) -> int:
     if value != int(value) or value < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     return int(value)
+
+
+def _check_finite(record, *names: str) -> None:
+    for name in names:
+        value = getattr(record, name)
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,7 @@ class BichromaticParams:
         object.__setattr__(self, "k", _check_int("k", self.k))
         object.__setattr__(self, "k_prime", _check_int("k_prime", self.k_prime))
         object.__setattr__(self, "omega", complex(self.omega))
+        _check_finite(self, "delta", "delta_prime", "omega", "phi", "phi0")
         worst = max(abs(self.delta), abs(self.delta_prime))
         if worst > _RW_FRACTION * self.modes.nu:
             warnings.warn(
@@ -144,6 +149,7 @@ class CarrierParams:
 
     def __post_init__(self):
         object.__setattr__(self, "omega", complex(self.omega))
+        _check_finite(self, "omega", "varphi", "varphi0")
 
     @property
     def phi_eff(self) -> float:
@@ -384,11 +390,6 @@ class FactoredPropagator:
         return JointState(amps=amps.ravel(), config=state.config)
 
 
-def propagate_const(h: np.ndarray, state: JointState, t: float) -> JointState:
-    """Evolve under a constant Hamiltonian for time t (exact, via eigh)."""
-    return HermitianPropagator(h).apply(state, t)
-
-
 def _expm_apply_dense(h: np.ndarray, psi: np.ndarray, dt: float, tol: float = 1e-15) -> np.ndarray:
     """exp(-i h dt) @ psi by scaled adaptive Taylor (dense helper)."""
     bound = float(np.abs(h).sum(axis=0).max()) * abs(dt)
@@ -408,36 +409,17 @@ def _expm_apply_dense(h: np.ndarray, psi: np.ndarray, dt: float, tol: float = 1e
     return out
 
 
-def propagate_timedep(builder, state: JointState, t: float, dt_max: float, check_tol: float | None = None) -> JointState:
-    """Midpoint-sampled evolution under H(t) = builder(t) (dense, generic).
-
-    With check_tol set, the run is repeated at half the step and a
-    ConvergenceWarning is raised when the two disagree beyond the tolerance.
-    """
+def propagate_timedep(builder, state: JointState, t: float, dt_max: float) -> JointState:
+    """Midpoint-sampled evolution under H(t) = builder(t) (dense, generic)."""
     if dt_max <= 0:
         raise ValueError("dt_max must be positive")
-
-    def run(step_cap: float) -> np.ndarray:
-        if t == 0:
-            return state.amps.astype(np.complex128, copy=True)
-        n = max(1, int(math.ceil(abs(t) / step_cap)))
+    psi = state.amps.astype(np.complex128, copy=True)
+    if t:
+        n = max(1, int(math.ceil(abs(t) / dt_max)))
         dt = t / n
-        psi = state.amps
         for i in range(n):
             psi = _expm_apply_dense(builder((i + 0.5) * dt), psi, dt)
-        return psi
-
-    amps = run(dt_max)
-    if check_tol is not None:
-        diff = float(np.abs(amps - run(dt_max / 2)).max())
-        if diff > check_tol:
-            warnings.warn(
-                f"halving the step changed the state by {diff:.3g} (> {check_tol:g}); "
-                "reduce dt_max",
-                ConvergenceWarning,
-                stacklevel=2,
-            )
-    return JointState(amps=amps, config=state.config)
+    return JointState(amps=psi, config=state.config)
 
 
 class BichromaticAction:

@@ -16,6 +16,7 @@ Units: hbar = 1, frequencies in units of nu, times in 1/nu.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -29,7 +30,6 @@ __all__ = [
     "ELEC_LABELS",
     "ModeParams",
     "HilbertConfig",
-    "ModeOperators",
     "JointState",
     "VibDensity",
     "StateSpec",
@@ -38,8 +38,6 @@ __all__ = [
     "coupling_f",
     "coupling_f_grid",
     "destroy",
-    "number_op",
-    "mode_operators",
     "displacement",
     "thermal_weights",
     "make_vib_state",
@@ -48,7 +46,6 @@ __all__ = [
     "reduce_electronic",
     "reduce_vibrational",
     "truncation_guard",
-    "density_defects",
 ]
 
 #: stretch-mode frequency in units of the c.m. frequency
@@ -118,14 +115,12 @@ class ModeParams:
     nu: float = 1.0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        if self.nu <= 0:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
         if self.eta_r is None:
             object.__setattr__(self, "eta_r", self.eta * STRETCH_LD_RATIO)
-        elif self.eta_r <= 0:
-            raise ValueError(f"eta_r must be > 0, got {self.eta_r}")
+        for name in ("eta", "eta_r", "nu"):  # eta first: a derived eta_r shares its fault
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value}")
 
 
 def coupling_f_grid(n_max_c: int, n_max_r: int, k: int, modes: ModeParams) -> np.ndarray:
@@ -216,48 +211,13 @@ class HilbertConfig:
 
 
 def destroy(dim: int) -> np.ndarray:
-    """Single-mode annihilation operator on a `dim`-level truncation."""
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    """Single-mode annihilation operator on a `dim`-level truncation.
 
-
-def number_op(dim: int) -> np.ndarray:
-    return np.diag(np.arange(float(dim)))
-
-
-@dataclass(frozen=True)
-class ModeOperators:
-    """Ladder and number operators of both modes, embedded in the joint space."""
-
-    a: np.ndarray
-    a_dag: np.ndarray
-    n_c: np.ndarray
-    b: np.ndarray
-    b_dag: np.ndarray
-    n_r: np.ndarray
-
-
-def mode_operators(config: HilbertConfig) -> ModeOperators:
-    """Joint-space ladder operators (identity on the electronic factor).
-
-    On the truncated grid [a, a^dag] is the identity except for the
-    -n_max entry in the top level; that defect is the price of the hard
-    cutoff and is what the truncation guard watches for.
+    On the truncated grid [a, a^dag] is the identity except for the -n_max
+    entry in the top level; that defect is the price of the hard cutoff and
+    is what the truncation guard watches for.
     """
-    eye4 = np.eye(4)
-    eye_c = np.eye(config.dim_c)
-    eye_r = np.eye(config.dim_r)
-    a1 = destroy(config.dim_c)
-    b1 = destroy(config.dim_r)
-    a = np.kron(eye4, np.kron(a1, eye_r))
-    b = np.kron(eye4, np.kron(eye_c, b1))
-    return ModeOperators(
-        a=a,
-        a_dag=a.conj().T,
-        n_c=np.kron(eye4, np.kron(number_op(config.dim_c), eye_r)),
-        b=b,
-        b_dag=b.conj().T,
-        n_r=np.kron(eye4, np.kron(eye_c, number_op(config.dim_r))),
-    )
+    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
 
 # --------------------------------------------------------------------------
@@ -285,19 +245,15 @@ class JointState:
         """View as (4, dim_c, dim_r)."""
         return self.amps.reshape(4, self.config.dim_c, self.config.dim_r)
 
-    def population(self, elec: int | str, n_c: int, n_r: int) -> float:
-        return float(abs(self.amps[self.config.joint_index(elec, n_c, n_r)]) ** 2)
-
 
 @dataclass(frozen=True)
 class VibDensity:
     """Density matrix on the two-mode vibrational space alone.
 
     Valid instances are Hermitian, unit-trace and positive semidefinite up
-    to numerical tolerance; `density_defects` reports how far a matrix is
-    from that.  Off-diagonal coherences are allowed and are carried through
-    displacement exactly; the tomography signal itself reads only the
-    diagonal.
+    to numerical tolerance.  Off-diagonal coherences are allowed and are
+    carried through displacement exactly; the tomography signal itself
+    reads only the diagonal.
     """
 
     matrix: np.ndarray
@@ -316,15 +272,6 @@ class VibDensity:
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
-
-
-def density_defects(rho: VibDensity) -> dict:
-    """Hermiticity / trace / positivity defects of a density matrix."""
-    m = rho.matrix
-    herm = float(np.max(np.abs(m - m.conj().T)))
-    tr = abs(np.trace(m) - 1.0)
-    lam_min = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)))
-    return {"hermiticity": herm, "trace_error": float(tr), "min_eigenvalue": lam_min}
 
 
 # --------------------------------------------------------------------------
@@ -386,8 +333,8 @@ def displacement(alpha, mode: str, config: HilbertConfig) -> np.ndarray:
 
 def thermal_weights(nbar: float, dim: int) -> np.ndarray:
     """Geometric thermal weights nbar^n/(nbar+1)^(n+1), renormalized on the grid."""
-    if nbar < 0:
-        raise ValueError(f"nbar must be >= 0, got {nbar}")
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ValueError(f"nbar must be a finite number >= 0, got {nbar}")
     if nbar == 0:
         w = np.zeros(dim)
         w[0] = 1.0

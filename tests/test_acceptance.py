@@ -4,9 +4,9 @@ Each test runs its check and asserts the recorded verdict, so a failure
 message carries the measured numbers.  Check 4 drives the full two-tone
 Hamiltonian at a detuning of 20.16 times the sideband coupling g00 and
 holds the quarter-period Bell infidelity to the leakage budget
-L(delta) = 8 (g00/delta)^2 sin^2(delta t/2): the stepper gives
-1 - F = 0.01766 against L = 0.01771, and 0.00448 against 0.00454 at the
-doubled detuning.  The same pulses on the effective engine, which has no
+L(delta) = 8 (g00/delta)^2 sin^2(delta t/2): the exact rotating-frame
+engine gives 1 - F = 0.01766 against L = 0.01771, and 0.00448 against
+0.00454 at the doubled detuning.  The same pulses on the effective engine, which has no
 leakage, fail it; see the module docstring of ``vibronic.acceptance``.
 """
 

@@ -179,6 +179,14 @@ def test_thermal_scan_lamb_dicke_robustness():
     assert f_warm < f_cold
 
 
+@pytest.mark.parametrize("nbar", [float("nan"), float("inf"), -0.5])
+def test_thermal_scan_rejects_bad_nbar(nbar):
+    with pytest.raises(ValueError, match="nbar must be a finite number >= 0"):
+        thermal_bell_scan(nbar, 0.0, drive())
+    with pytest.raises(ValueError, match="nbar must be a finite number >= 0"):
+        thermal_bell_scan(0.0, nbar, drive(), n_max=(3, 3))
+
+
 def test_thermal_scan_rejects_heavy_tail_box():
     p = drive()
     with pytest.raises(ValueError):

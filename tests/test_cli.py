@@ -166,7 +166,7 @@ def test_seed_override_wins():
 
 
 @pytest.mark.parametrize("text", [SYNTH_CFG, SPECTRUM_CFG], ids=["tomo-synth", "spectrum"])
-@pytest.mark.parametrize("flag, value", [("--seed", "-3"), ("--threads", "0")])
+@pytest.mark.parametrize("flag, value", [("--seed", "-3")])
 def test_override_flags_are_range_checked(tmp_path, capsys, text, flag, value):
     assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out"), flag, value]) == 2
     err = capsys.readouterr().err
@@ -176,14 +176,14 @@ def test_override_flags_are_range_checked(tmp_path, capsys, text, flag, value):
 
 def test_main_calls_share_no_flag_state(tmp_path, capsys):
     cfg = _write(tmp_path, SYNTH_CFG)
-    assert main(["--config", cfg, "--out", str(tmp_path / "a"), "--seed", "5", "--threads", "2", "--quiet"]) == 0
+    assert main(["--config", cfg, "--out", str(tmp_path / "a"), "--seed", "5", "--quiet"]) == 0
     assert capsys.readouterr().out == ""
     assert main(["--config", cfg, "--out", str(tmp_path / "b")]) == 0
     assert "tomo-synth" in capsys.readouterr().out
     first = (tmp_path / "a" / "signal.csv").read_text().splitlines()
     second = (tmp_path / "b" / "signal.csv").read_text().splitlines()
-    assert "# seed = 5" in first and "# threads = 2" in first
-    assert "# seed = 11" in second and "# threads = 1" in second
+    assert "# seed = 5" in first
+    assert "# seed = 11" in second
 
 
 @pytest.mark.parametrize(
@@ -431,6 +431,49 @@ def test_effective_evolve_forms_no_density_matrix(tmp_path):
     assert peak < 8e6
 
 
+def _small(mode, k, extra):
+    drive = f"[hilbert]\nn_max_c = 4\nn_max_r = 2\n[modes]\neta = 0.1\n[drive]\nk = {k}\ndelta = 0.05\nomega = 0.02\n"
+    return f"mode = {mode}\n{drive}{extra}"
+
+
+ONE_PER_RUN_PATH = {
+    "spectrum": SPECTRUM_CFG,
+    "evolve-exact-k1": _small("evolve", 1, "[state]\nkind = fock\n[evolve]\nt = 10\nsamples = 3\n"),
+    "evolve-exact-k0": _small("evolve", 0, "[state]\nkind = fock\n[evolve]\nt = 10\nsamples = 3\n"),
+    "evolve-effective": _small("evolve", 1, "[state]\nkind = fock\n[evolve]\nt = 10\nsamples = 3\nengine = effective\n"),
+    "bell-phi-exact": BELL_PHI_CFG.replace("engine = effective", "engine = exact"),
+    "bell-psi-effective": _small("bell-psi", 1, "[bell]\nengine = effective\n"),
+    "bell-psi-exact": _small("bell-psi", 1, "[bell]\nengine = exact\n"),
+    "tomo-synth": SYNTH_CFG,
+    "tomo-invert": SYNTH_CFG.replace("mode = tomo-synth", "mode = tomo-invert"),
+    "wigner": WIGNER_CFG,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PER_RUN_PATH))
+def test_no_mode_reaches_the_dense_oracle(tmp_path, monkeypatch, name):
+    # the dense builders, the generic integrator and the joint-space displacement serve the checks only
+    import sys
+
+    import vibronic.dynamics as dynamics
+    import vibronic.tomography as tomography
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run path reached the dense oracle")
+
+    dense = {attr: getattr(dynamics, attr) for attr in (
+        "build_bichromatic_H", "propagate_timedep", "_expm_apply_dense", "build_effective_H", "build_carrier_H",
+    )}
+    dense["displace_vib"] = tomography.displace_vib
+    for module in [m for key, m in sys.modules.items() if key.startswith("vibronic")]:
+        for attr, original in dense.items():
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, forbidden)
+    monkeypatch.setattr(dynamics.HermitianPropagator, "__init__", forbidden)
+    cfg = _write(tmp_path, ONE_PER_RUN_PATH[name])
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+
 def test_wigner_displaces_each_point_once(tmp_path, monkeypatch):
     # the whole scan is one displacement call per mode, and across those
     # calls every point's alpha appears exactly once, in point order
@@ -469,12 +512,14 @@ def test_effective_evolve_warns_on_marginal_detuning(tmp_path):
 
 def test_threads_is_accepted_and_has_no_effect(tmp_path):
     outputs = {}
-    for name, text, flags in [
-        ("one", WIGNER_CFG.replace("mode = wigner", "mode = wigner\nthreads = 1"), []),
-        ("many", WIGNER_CFG.replace("mode = wigner", "mode = wigner\nthreads = 4"), ["--threads", "3"]),
-    ]:
+    for name, threads in [("one", 1), ("many", 4)]:
+        text = WIGNER_CFG.replace("mode = wigner", f"mode = wigner\nthreads = {threads}")
         args = ["--config", _write(tmp_path, text, f"{name}.cfg"), "--out", str(tmp_path / name), "--quiet"]
-        assert main(args + flags) == 0
+        assert main(args) == 0
         outputs[name] = (tmp_path / name / "wigner.csv").read_text().splitlines()
-    assert "# threads = 3" in outputs["many"]
-    assert [l for l in outputs["one"] if l != "# threads = 1"] == [l for l in outputs["many"] if l != "# threads = 3"]
+    assert "# threads = 4" in outputs["many"]
+    assert [l for l in outputs["one"] if l != "# threads = 1"] == [l for l in outputs["many"] if l != "# threads = 4"]
+    # the key stays; the flag is gone and is an argparse usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", _write(tmp_path, WIGNER_CFG, "flag.cfg"), "--out", str(tmp_path / "flag"), "--threads", "3"])
+    assert exc.value.code == 2

@@ -13,8 +13,8 @@ from vibronic import (
     BichromaticAction,
     BichromaticParams,
     CarrierParams,
-    ConvergenceWarning,
     FactoredPropagator,
+    HermitianPropagator,
     HilbertConfig,
     JointState,
     ModeParams,
@@ -29,15 +29,14 @@ from vibronic import (
     coupling_f,
     coupling_f_grid,
     effective_factors,
-    mode_operators,
     omega_k_scale,
     propagate_bichromatic,
-    propagate_const,
     propagate_timedep,
     rabi_effective,
     rabi_spectrum,
     resonance_guard,
 )
+from vibronic.fockspace import destroy
 
 
 def bell_dd_uu(config, sign, n_c=0, n_r=0):
@@ -159,7 +158,7 @@ def test_effective_evolution_matches_closed_form():
         n_c = int(rng.integers(0, config.n_max_c + 1))
         n_r = int(rng.integers(0, config.n_max_r + 1))
         t = float(rng.uniform(0, 3.0) / max(abs(rabi_effective(n_c, n_r, p)), 1e-6))
-        out = propagate_const(h, basis_state(config, "dd", n_c, n_r), t)
+        out = HermitianPropagator(h).apply(basis_state(config, "dd", n_c, n_r), t)
         a_dd, a_uu = closed_form_dispersive(n_c, n_r, p, t)
         tensor = out.tensor()
         assert abs(tensor[0, n_c, n_r] - a_dd) < 1e-12
@@ -198,7 +197,7 @@ def test_carrier_evolution_matches_closed_form():
         n_c = int(rng.integers(0, config.n_max_c + 1))
         n_r = int(rng.integers(0, config.n_max_r + 1))
         t0 = float(rng.uniform(0, 40.0))
-        out = propagate_const(build_carrier_H(p, config), bell_dd_uu(config, sign, n_c, n_r), t0)
+        out = HermitianPropagator(build_carrier_H(p, config)).apply(bell_dd_uu(config, sign, n_c, n_r), t0)
         want = closed_form_carrier(sign, p, n_c, n_r, t0)
         assert np.abs(out.tensor()[:, n_c, n_r] - want).max() < 1e-12
         assert abs(np.linalg.norm(want) - 1.0) < 1e-12
@@ -235,7 +234,7 @@ def test_factored_propagator_matches_dense_generators(k):
             scale = max(float(np.abs(a).max()), 1e-6)
             for t in np.array([-2.3, 0.7, 2.9]) / scale:
                 out = prop.apply(psi0, float(t))
-                assert np.abs(out.amps - propagate_const(h, psi0, float(t)).amps).max() < 1e-12
+                assert np.abs(out.amps - HermitianPropagator(h).apply(psi0, float(t)).amps).max() < 1e-12
                 assert abs(out.norm() - 1.0) < 1e-12
 
 
@@ -264,9 +263,15 @@ def test_carrier_eigenvalues_on_single_level():
     assert np.abs(evals - want).max() < 1e-12
 
 
+def _on_mode(op, mode, config):
+    """A single-mode operator embedded in the joint space (identity on the electronic pair and the other mode)."""
+    c, r = (op, np.eye(config.dim_r)) if mode == "c" else (np.eye(config.dim_c), op)
+    return np.kron(np.eye(4), np.kron(c, r))
+
+
 def test_bichromatic_H_hermitian_and_stretch_conserving():
     config = HilbertConfig(n_max_c=3, n_max_r=2)
-    ops = mode_operators(config)
+    n_r = _on_mode(np.diag(np.arange(float(config.dim_r))), "r", config)
     p = BichromaticParams(
         k=1, k_prime=2, delta=0.07, delta_prime=0.05, omega=0.03 * np.exp(0.4j),
         phi=0.2, phi0=0.9, modes=ModeParams(eta=0.17),
@@ -275,12 +280,12 @@ def test_bichromatic_H_hermitian_and_stretch_conserving():
         h = build_bichromatic_H(t, p, config)
         assert np.abs(h - h.conj().T).max() < 1e-15
         # no stretch-mode ladder operators anywhere in the drive
-        assert np.abs(h @ ops.n_r - ops.n_r @ h).max() < 1e-15
+        assert np.abs(h @ n_r - n_r @ h).max() < 1e-15
 
 
 def _operator_algebra_H(t, p, config):
     """H(t) from joint-space ladder operators and per-cell f_k(n_c, n_r), with no stretch-factor split."""
-    ops = mode_operators(config)
+    a = _on_mode(destroy(config.dim_c), "c", config)
     raise_one = np.array([[0.0, 0.0], [1.0, 0.0]])  # |u><d| of a single ion
     w = np.exp(0.5j * p.phi0) * np.kron(raise_one, np.eye(2)) + np.exp(-0.5j * p.phi0) * np.kron(np.eye(2), raise_one)
     w = np.kron(w, np.eye(config.dim_vib))
@@ -290,8 +295,8 @@ def _operator_algebra_H(t, p, config):
         return np.diag(np.tile(cells, 4))
 
     eta = p.modes.eta
-    upper = (1j * eta) ** p.k * np.linalg.matrix_power(ops.a_dag, p.k) @ f(p.k)
-    lower = (1j * eta) ** p.k_prime * f(p.k_prime) @ np.linalg.matrix_power(ops.a, p.k_prime)
+    upper = (1j * eta) ** p.k * np.linalg.matrix_power(a.T, p.k) @ f(p.k)
+    lower = (1j * eta) ** p.k_prime * f(p.k_prime) @ np.linalg.matrix_power(a, p.k_prime)
     h = p.omega * np.exp(1j * p.phi) * w @ (upper * np.exp(1j * p.delta * t) + lower * np.exp(-1j * p.delta_prime * t))
     return h + h.conj().T
 
@@ -359,7 +364,7 @@ def test_kernel_constant_drive_matches_eigh():
     psi0 = bell_dd_uu(config, +1, n_c=1, n_r=1)
     h = build_bichromatic_H(0.0, p, config)
     for t in (37.0, -24.0):
-        exact = propagate_const(h, psi0, t)
+        exact = HermitianPropagator(h).apply(psi0, t)
         out = propagate_bichromatic(p, config, psi0, t)
         assert np.abs(out.amps - exact.amps).max() < 1e-10
         assert abs(out.norm() - 1.0) < 1e-12
@@ -410,7 +415,7 @@ def test_carrier_tones_converge_on_static_frame():
     psi0 = bell_dd_uu(config, +1, n_c=1, n_r=0)
     n_e = np.repeat([0.0, 1.0, 1.0, 2.0], config.dim_vib)
     t = 30.0
-    rotated = propagate_const(build_bichromatic_H(0.0, p, config) + delta * np.diag(n_e), psi0, t)
+    rotated = HermitianPropagator(build_bichromatic_H(0.0, p, config) + delta * np.diag(n_e)).apply(psi0, t)
     exact = np.exp(1j * delta * n_e * t) * rotated.amps
     err = {dt: np.abs(propagate_bichromatic(p, config, psi0, t, dt_max=dt).amps - exact).max() for dt in (0.1, 0.05)}
     assert 3.9 <= err[0.1] / err[0.05] <= 4.1
@@ -475,20 +480,31 @@ def test_dispersive_leakage_stays_perturbative():
     assert leak > 0.0
 
 
-def test_propagate_const_rejects_nonhermitian():
+def test_hermitian_propagator_rejects_nonhermitian():
     config = HilbertConfig(n_max_c=1, n_max_r=0)
     bad = np.zeros((config.dim, config.dim), dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
-        propagate_const(bad, basis_state(config, "dd", 0, 0), 1.0)
+        HermitianPropagator(bad)
 
 
-def test_timedep_convergence_warning():
-    config = HilbertConfig(n_max_c=2, n_max_r=0)
-    p = BichromaticParams.symmetric(k=1, delta=0.15, omega=0.1, modes=ModeParams(eta=0.25))
-    psi0 = basis_state(config, "dd", 0, 0)
-    with pytest.warns(ConvergenceWarning):
-        propagate_timedep(lambda s: build_bichromatic_H(s, p, config), psi0, 60.0, dt_max=8.0, check_tol=1e-12)
+_BICHROMATIC = dict(k=1, k_prime=1, delta=0.05, delta_prime=0.05, omega=0.02, phi=0.0, phi0=0.0)
+_CARRIER = dict(omega=0.02, varphi=0.0, varphi0=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "record, fields, name",
+    [(BichromaticParams, _BICHROMATIC, name) for name in ("delta", "delta_prime", "omega", "phi", "phi0")]
+    + [(CarrierParams, _CARRIER, name) for name in ("omega", "varphi", "varphi0")],
+)
+def test_drive_records_reject_non_finite_fields(record, fields, name, bad):
+    # a non-finite field is named, not blamed on delta or left to fail inside eigh
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        record(**{**fields, name: bad, "modes": ModeParams(eta=0.1)})
+    if name == "omega":  # complex: a non-finite imaginary part alone is caught too
+        with pytest.raises(ValueError, match=r"^omega must be finite"):
+            record(**{**fields, "omega": complex(0.02, bad), "modes": ModeParams(eta=0.1)})
 
 
 def test_rotating_wave_warning():

@@ -1,5 +1,5 @@
 import warnings
-from math import comb, factorial
+from math import comb, factorial, inf, nan
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from vibronic.fockspace import (
     basis_state,
     coupling_f,
     coupling_f_grid,
-    density_defects,
     destroy,
     displacement,
     fidelity,
@@ -22,7 +21,6 @@ from vibronic.fockspace import (
     laguerre_seq,
     make_vib_state,
     make_vib_vector,
-    mode_operators,
     reduce_electronic,
     reduce_vibrational,
     thermal_weights,
@@ -91,6 +89,23 @@ def test_mode_params_validation():
         ModeParams(eta=0.1, nu=0.0)
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"eta": nan}, "eta"),
+        ({"eta": inf}, "eta"),
+        ({"eta": 0.1, "eta_r": nan}, "eta_r"),
+        ({"eta": 0.1, "eta_r": inf}, "eta_r"),
+        ({"eta": 0.1, "nu": nan}, "nu"),
+        ({"eta": 0.1, "nu": inf}, "nu"),
+    ],
+)
+def test_mode_params_reject_non_finite_fields(fields, name):
+    # nan slips past every `<= 0` test, and a derived eta_r must not take the blame for eta
+    with pytest.raises(ValueError, match=rf"^{name} must be a finite number"):
+        ModeParams(**fields)
+
+
 def test_coupling_frozen_value():
     # independent series-sum oracle:
     # exp(-(eta^2+eta_r^2)/2) * 2!/3! * L_2^1(eta^2) * L_1^0(eta_r^2)
@@ -142,17 +157,14 @@ def test_joint_index_ordering():
 
 
 def test_ladder_commutator_truncation_defect():
-    cfg = HilbertConfig(n_max_c=5, n_max_r=3)
-    ops = mode_operators(cfg)
-    comm = ops.a @ ops.a_dag - ops.a_dag @ ops.a
-    expected = np.kron(
-        np.eye(4),
-        np.kron(np.diag([1.0] * 5 + [-5.0]), np.eye(4)),
-    )
-    assert np.max(np.abs(comm - expected)) < 1e-12
-    # number operator consistent with a^dag a
-    assert np.max(np.abs(ops.a_dag @ ops.a - ops.n_c)) < 1e-12
-    assert np.max(np.abs(ops.b_dag @ ops.b - ops.n_r)) < 1e-12
+    for dim in (6, 4):
+        a = destroy(dim)
+        a_dag = a.conj().T
+        # [a, a^dag] is the identity except for -n_max in the top level
+        expected = np.diag([1.0] * (dim - 1) + [-(dim - 1.0)])
+        assert np.max(np.abs(a @ a_dag - a_dag @ a - expected)) < 1e-12
+        # number operator consistent with a^dag a
+        assert np.max(np.abs(a_dag @ a - np.diag(np.arange(float(dim))))) < 1e-12
 
 
 def disp_element(m, n, alpha):
@@ -270,16 +282,24 @@ def test_thermal_weights_geometric():
         thermal_weights(-0.1, 5)
 
 
+@pytest.mark.parametrize("nbar", [nan, inf])
+def test_non_finite_nbar_is_rejected(nbar):
+    with pytest.raises(ValueError, match="nbar must be a finite number"):
+        thermal_weights(nbar, 4)
+    with pytest.raises(ValueError, match="nbar must be a finite number"):
+        make_vib_state(StateSpec.thermal(0.1, nbar), HilbertConfig(n_max_c=3, n_max_r=3))
+
+
 def test_make_vib_state_fock_and_validity():
     cfg = HilbertConfig(n_max_c=6, n_max_r=4)
     rho = make_vib_state(StateSpec.fock(2, 1), cfg)
     pops = rho.populations()
     assert pops[2, 1] == 1.0
     assert pops.sum() == pytest.approx(1.0)
-    d = density_defects(rho)
-    assert d["hermiticity"] < 1e-12
-    assert d["trace_error"] < 1e-9
-    assert d["min_eigenvalue"] > -1e-10
+    m = rho.matrix
+    assert np.max(np.abs(m - m.conj().T)) < 1e-12
+    assert abs(np.trace(m) - 1.0) < 1e-9
+    assert np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)) > -1e-10
 
 
 def test_make_vib_state_thermal_product():
@@ -288,8 +308,8 @@ def test_make_vib_state_thermal_product():
     pops = rho.populations()
     assert pops[0, 0] == pytest.approx((2 / 3) * (1 / 1.2), rel=1e-6)
     assert rho.trace() == pytest.approx(1.0, abs=1e-12)
-    d = density_defects(rho)
-    assert d["min_eigenvalue"] > -1e-12
+    m = rho.matrix
+    assert np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)) > -1e-12
 
 
 def test_make_vib_state_coherent_poisson_populations():

@@ -1,5 +1,5 @@
-"""Declared dependencies match what the package imports, scipy stays out of
-the cold start, and every name the bench traces exists in the package."""
+"""Declared dependencies and version match the package, scipy stays out of
+the cold start, and every exported or bench-traced name exists in the package."""
 
 import ast
 import importlib
@@ -32,6 +32,19 @@ def test_dependencies_equal_third_party_imports():
         declared = {re.split(r"[<>=!~;\[ ]", dep, maxsplit=1)[0] for dep in tomllib.load(fh)["project"]["dependencies"]}
     third_party = _imported_top_level_modules() - set(sys.stdlib_module_names) - {"vibronic"}
     assert declared == third_party
+
+
+def test_version_declarations_agree():
+    # every output header embeds vibronic.__version__
+    import vibronic
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == vibronic.__version__
+
+
+def test_fockspace_all_names_exist():
+    fockspace = importlib.import_module("vibronic.fockspace")
+    assert [name for name in fockspace.__all__ if not hasattr(fockspace, name)] == []
 
 
 def _load_time_imports(tree: ast.Module) -> set[str]:
