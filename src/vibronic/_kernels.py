@@ -1,19 +1,13 @@
-"""Sparse midpoint stepper for a two-tone drive that stays time dependent.
+"""Sparse midpoint stepper for a two-tone drive held in COO form.
 
-With a tone on a sideband (k + k' > 0) the drive is static in a rotating
-frame and dynamics.BichromaticAction solves it exactly.  With both tones on
-the carrier (k = k' = 0) no such frame exists in general, and
-dynamics.propagate_bichromatic steps the drive here.  Its Hamiltonian is
-extremely sparse (a few entries per row), so it is held in COO form whose
-entries carry a "phase group" tag.  Both tones are the same matrix M, so
-H(t) = c(t) M + conj(c(t)) M^dag: at a given midpoint time group 0 (the
-entries of M) is multiplied by the coefficient
-
-    c(t) = e^{+i delta t} + e^{-i delta' t}
-
-and group 1 (the entries of M^dag) by its conjugate.  Each step applies
-exp(-i H(t_mid) dt) through an adaptive Taylor series (dt * ||H|| is tiny
-here, so a handful of sparse matvecs reaches machine precision).
+No run path calls this stepper: every two-tone drive the package runs has
+a sideband tone and is solved exactly by dynamics.BichromaticAction, and
+two carrier tones (k = k' = 0) are rejected.  The benchmark's tracer still
+names this function, so the file stays until that name is dropped there.
+Entries carry a "phase group" tag: at midpoint time t group 0 is multiplied
+by c(t) = e^{+i delta t} + e^{-i delta' t} and group 1 by its conjugate, and
+each step applies exp(-i H(t_mid) dt) through an adaptive Taylor series.
+dynamics._expm_apply_dense shares MAX_TAYLOR_TERMS.
 """
 
 from __future__ import annotations

@@ -124,14 +124,14 @@ def run_sequence(
     config: HilbertConfig,
     state: JointState,
     engine: str = "effective",
-    dt_max: float = 0.05,
 ) -> JointState:
     """Apply the pulses of ``seq`` in order to ``state``.
 
     engine "effective" evolves dispersive pulses under the eliminated
     generator (exact within that model); "exact" propagates the full
-    time-dependent two-beam drive (propagate_bichromatic; dt_max matters
-    only for a k = k' = 0 drive).  Carrier pulses are always exact.
+    time-dependent two-beam drive in its rotating frame
+    (propagate_bichromatic, which needs a sideband tone).  Carrier pulses
+    are always exact.
     """
     if engine not in ("effective", "exact"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -141,7 +141,7 @@ def run_sequence(
         elif engine == "effective":
             state = FactoredPropagator(*effective_factors(pulse.params, config)).apply(state, pulse.duration)
         else:
-            state = propagate_bichromatic(pulse.params, config, state, pulse.duration, dt_max=dt_max)
+            state = propagate_bichromatic(pulse.params, config, state, pulse.duration)
     return state
 
 
@@ -172,7 +172,6 @@ def make_phi(
     config: HilbertConfig,
     vib: tuple[int, int] = (0, 0),
     engine: str = "effective",
-    dt_max: float = 0.05,
 ) -> tuple[JointState, float, PulseSequence]:
     """Prepare Phi(sign) from |dd; vib> with a single dispersive pulse.
 
@@ -185,7 +184,7 @@ def make_phi(
         for msg in resonance_guard(p):
             warnings.warn(msg, AdiabaticityWarning, stacklevel=2)
     seq = PulseSequence(pulses=(pulse,), prefactor_phase=theta)
-    out = run_sequence(seq, config, basis_state(config, "dd", *vib), engine=engine, dt_max=dt_max)
+    out = run_sequence(seq, config, basis_state(config, "dd", *vib), engine=engine)
     target = phi_target_for(sign, p).joint_state(config, *vib)
     return out, fidelity(out, target), seq
 
@@ -228,7 +227,6 @@ def make_psi(
     config: HilbertConfig,
     vib: tuple[int, int] = (0, 0),
     engine: str = "effective",
-    dt_max: float = 0.05,
 ) -> tuple[JointState, float, PulseSequence]:
     """Prepare the Psi-type Bell state via Phi(start_sign) plus a carrier pulse.
 
@@ -251,7 +249,7 @@ def make_psi(
     t0 = math.pi / (4.0 * abs(omega0))
     disp, theta = _dispersive_pulse(start_sign, pd, vib)
     seq = PulseSequence(pulses=(disp, Pulse(kind="carrier", params=pc, duration=t0)), prefactor_phase=theta)
-    out = run_sequence(seq, config, basis_state(config, "dd", *vib), engine=engine, dt_max=dt_max)
+    out = run_sequence(seq, config, basis_state(config, "dd", *vib), engine=engine)
     target = BellTarget(family="psi", sign=1, phi0=-pc.varphi0).joint_state(config, *vib)
     return out, fidelity(out, target), seq
 

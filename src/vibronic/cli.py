@@ -242,7 +242,6 @@ class RunConfig:
     bell_start_sign: int = 1
     bell_engine: str = "effective"
     bell_vib: tuple[int, int] = (0, 0)
-    dt_max: float = 0.05
     shots: int = 0
     n_fit_c: int = 0
     n_fit_r: int = 0
@@ -316,7 +315,8 @@ def parse_config(text: str, seed_override: int | None = None) -> RunConfig:
         vib_c = reader.number("bell.n_c", default=0, lo=0, hi=n_max_c, integer=True)
         vib_r = reader.number("bell.n_r", default=0, lo=0, hi=n_max_r, integer=True)
         cfg["bell_vib"] = (vib_c, vib_r)
-        cfg["dt_max"] = reader.number("bell.dt_max", default=0.05, lo=1e-9)
+        # accepted, range-checked and echoed as 'threads' is, with no effect: no engine steps in time
+        reader.number("bell.dt_max", default=0.05, lo=1e-9)
     if mode == "bell-psi":
         cfg["carrier_omega"] = reader.number("carrier.omega", default=abs(omega), lo=0.0)
         varphi = reader.number("carrier.varphi")
@@ -349,7 +349,9 @@ def parse_config(text: str, seed_override: int | None = None) -> RunConfig:
         cfg["evolve_t"] = reader.number("evolve.t", required=True)
         cfg["evolve_samples"] = reader.number("evolve.samples", default=50, lo=2, integer=True)
         cfg["evolve_engine"] = reader.string("evolve.engine", default="exact", choices={"effective", "exact"})
-        cfg["dt_max"] = reader.number("evolve.dt_max", default=0.05, lo=1e-9)
+        if cfg["evolve_engine"] == "exact" and k + k_prime == 0:
+            raise ConfigError("exact evolve needs drive.k + drive.k_prime > 0: two carrier tones have no static frame")
+        reader.number("evolve.dt_max", default=0.05, lo=1e-9)  # accepted and echoed, as the bell key is
 
     reader.reject_unknown()
     return RunConfig(echo=tuple(reader.echo), **cfg)
@@ -461,7 +463,7 @@ def _run_evolve(config: RunConfig, out_dir: str) -> list[str]:
         prop = FactoredPropagator(*effective_factors(config.drive, cfg))
         states = [prop.apply(psi0, t) for t in times]
     else:
-        states = [propagate_bichromatic(config.drive, cfg, psi0, t, dt_max=config.dt_max) for t in times]
+        states = [propagate_bichromatic(config.drive, cfg, psi0, t) for t in times]
     for t, st in zip(times, states):
         pops = np.sum(np.abs(st.tensor()) ** 2, axis=(1, 2))
         rows.append(f"{_fmt(t)}," + ",".join(_fmt(p) for p in pops))
@@ -486,7 +488,7 @@ def _run_bell(config: RunConfig, out_dir: str) -> list[str]:
     if config.mode == "bell-phi":
         state, fid, seq = make_phi(
             config.bell_sign, config.drive, config.hilbert,
-            vib=config.bell_vib, engine=config.bell_engine, dt_max=config.dt_max,
+            vib=config.bell_vib, engine=config.bell_engine,
         )
         name = "bell_phi.csv"
     else:
@@ -496,7 +498,7 @@ def _run_bell(config: RunConfig, out_dir: str) -> list[str]:
         )
         state, fid, seq = make_psi(
             config.bell_start_sign, config.drive, carrier, config.hilbert,
-            vib=config.bell_vib, engine=config.bell_engine, dt_max=config.dt_max,
+            vib=config.bell_vib, engine=config.bell_engine,
         )
         name = "bell_psi.csv"
     lines = _header(config)
@@ -642,9 +644,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         summaries, code = run(config, args.out)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -19,8 +19,8 @@ Two laser configurations are covered:
   (BichromaticAction): it is static in the frame rotating with
   eps N_e + theta N_c, and its generator splits into sector blocks
   s(n_r) (B + B^dag) - G cut from the c.m. matrices.  Two carrier tones
-  (k = k' = 0), both Omega e^{i phi} kron(W, diag f_0), run on the sparse
-  midpoint stepper of _kernels.  No run path forms a joint-space matrix;
+  (k = k' = 0) have no static frame in general, and propagate_bichromatic
+  rejects them.  No run path forms a joint-space matrix;
   build_bichromatic_H with propagate_timedep, a dense midpoint integrator
   of any H(t), is the independent oracle.
 
@@ -472,54 +472,15 @@ def _action(p: BichromaticParams, config: HilbertConfig) -> BichromaticAction:
     return BichromaticAction(p, config)
 
 
-def _step_carrier_tones(p: BichromaticParams, config: HilbertConfig, psi: np.ndarray, t: float, dt_max: float) -> np.ndarray:
-    """The k = k' = 0 drive on the sparse midpoint stepper, steps of at most dt_max.
+def propagate_bichromatic(p: BichromaticParams, config: HilbertConfig, state: JointState, t: float) -> JointState:
+    """Evolve under the full time-dependent two-beam drive, exactly.
 
-    Both tones are M = Omega e^{i phi} kron(W, diag f_0), so H(t) = c(t) M +
-    conj(c(t)) M^dag with c(t) = e^{i delta t} + e^{-i delta' t}.  The COO
-    entries of M (group 0) and of M^dag (group 1) are the four entries of W
-    repeated over the levels, each stored once, and ||H(t)|| <= 8 |Omega| max|f_0|.
+    Needs a sideband tone (k + k' > 0): BichromaticAction solves the drive
+    in its static frame, and the last drive's decomposition is cached, so
+    repeated calls with one drive cost a few small matrix products each.
+    Two carrier tones (k = k' = 0) have no static frame and raise ValueError.
     """
-    if t == 0:
-        return psi.astype(np.complex128, copy=True)
-    wmat = p.omega * np.exp(1j * p.phi) * _pair_raise(p.phi0)
-    f0 = coupling_f_grid(config.n_max_c, config.n_max_r, 0, p.modes).ravel()
-    level = np.arange(config.dim_vib)
-    r, c = np.nonzero(wmat)
-    rows, cols = (r[:, None] * config.dim_vib + level).ravel(), (c[:, None] * config.dim_vib + level).ravel()
-    vals = (wmat[r, c][:, None] * f0).ravel()
-    n_steps = max(1, int(math.ceil(abs(t) / dt_max)))
-    dt = t / n_steps
-    m_sub = max(1, int(math.ceil(abs(dt) * 8.0 * abs(p.omega) * np.abs(f0).max() / 0.9)))
-    return _kernels.propagate_coo(
-        np.concatenate([rows, cols]), np.concatenate([cols, rows]),
-        np.concatenate([vals, vals.conj()]), np.repeat(np.arange(2), vals.size),
-        p.delta, p.delta_prime, psi, dt, n_steps, m_sub,
-    )
-
-
-def propagate_bichromatic(
-    p: BichromaticParams,
-    config: HilbertConfig,
-    state: JointState,
-    t: float,
-    dt_max: float = 0.05,
-) -> JointState:
-    """Evolve under the full time-dependent two-beam drive.
-
-    With a sideband tone (k + k' > 0) the result is exact (BichromaticAction;
-    the last drive's decomposition is cached, so repeated calls with one
-    drive cost a few small matrix products each) and dt_max is not used.
-    With both tones on the carrier (k = k' = 0) no static frame exists in
-    general, and the sparse midpoint stepper runs at steps of at most dt_max.
-    """
-    if dt_max <= 0:
-        raise ValueError("dt_max must be positive")
-    if p.k + p.k_prime == 0:
-        amps = _step_carrier_tones(p, config, state.amps, t, dt_max)
-    else:
-        amps = _action(p, config).propagate(state.amps, t)
-    return JointState(amps=amps, config=state.config)
+    return JointState(amps=_action(p, config).propagate(state.amps, t), config=state.config)
 
 
 # ---------------------------------------------------------------------------

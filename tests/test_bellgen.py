@@ -63,6 +63,12 @@ def test_make_phi_effective_warns_on_marginal_detuning():
         make_phi(1, drive(delta=0.004, eta=0.1), HilbertConfig(n_max_c=4, n_max_r=1), engine="effective")
 
 
+def test_make_phi_exact_warns_on_marginal_detuning():
+    # the exact engine forwards resonance_guard's messages: here |delta| < 10 g_00
+    with pytest.warns(AdiabaticityWarning, match="dispersive regime marginal"):
+        make_phi(1, drive(delta=0.004, eta=0.1), HilbertConfig(n_max_c=4, n_max_r=1), engine="exact")
+
+
 def test_pulse_rejects_nonpositive_duration():
     with pytest.raises(ValueError):
         Pulse(kind="dispersive", params=drive(), duration=0.0)
@@ -153,7 +159,7 @@ def test_exact_engine_fidelity_improves_with_detuning():
     fids = []
     for mult in (10, 14, 20, 40):
         p = BichromaticParams.symmetric(k=1, delta=mult * eta * omega, omega=omega, modes=ModeParams(eta=eta))
-        fids.append(make_phi(1, p, config, engine="exact", dt_max=0.1)[1])
+        fids.append(make_phi(1, p, config, engine="exact")[1])
     assert all(b > a for a, b in zip(fids, fids[1:]))
     assert fids[-1] > 0.99
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vibronic import AdiabaticityWarning
+from vibronic import AdiabaticityWarning, __version__
 from vibronic.cli import ConfigError, main, parse_config
 
 SPECTRUM_CFG = """\
@@ -235,6 +235,16 @@ def test_wigner_estimate_tracks_oracle(tmp_path):
     assert est[0] == pytest.approx(-4.0 / np.pi**2, abs=1e-6)
 
 
+def test_explicit_alphas_match_the_alpha_line(tmp_path):
+    grids = {"line": "alpha_c_line = -0.3, 0.3, 2", "explicit": "alphas = -0.3,0,0,0; 0.3,0,0,0"}
+    for name, grid in grids.items():
+        text = WIGNER_CFG.replace("alpha_c_line = 0.0, 0.6, 5", grid)
+        assert main(["--config", _write(tmp_path, text, f"{name}.cfg"), "--out", str(tmp_path / name), "--quiet"]) == 0
+    for csv in ("wigner.csv", "wigner_oracle.csv"):
+        rows = _data_rows(tmp_path / "line" / csv)
+        assert len(rows) == 2 and rows == _data_rows(tmp_path / "explicit" / csv)
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = _write(tmp_path, SYNTH_CFG)
     assert main(["--config", cfg, "--out", str(tmp_path / "a"), "--quiet"]) == 0
@@ -288,9 +298,46 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, value):
 
 
 def test_non_finite_tuple_entry_is_config_error(tmp_path, capsys):
-    bad = _write(tmp_path, WIGNER_CFG.replace("alpha_c_line = 0.0, 0.6, 5", "alpha_c_line = 0.0, inf, 5"))
-    assert main(["--config", bad, "--out", str(tmp_path / "out")]) == 2
-    assert "'wigner.alpha_c_line' has a non-finite entry" in capsys.readouterr().err
+    # the same reader also names a group of the wrong arity and a non-numeric entry
+    for value, message in [
+        ("0.0, inf, 5", "'wigner.alpha_c_line' has a non-finite entry"),
+        ("0.0, 0.6", "'wigner.alpha_c_line' expects groups of 3 numbers, got '0.0, 0.6'"),
+        ("0.0, abc, 5", "'wigner.alpha_c_line' has a non-numeric entry in '0.0, abc, 5'"),
+    ]:
+        bad = _write(tmp_path, WIGNER_CFG.replace("alpha_c_line = 0.0, 0.6, 5", f"alpha_c_line = {value}"))
+        assert main(["--config", bad, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_missing_signal_file_is_io_error(tmp_path, capsys):
+    cfg = SYNTH_CFG.replace("mode = tomo-synth", "mode = tomo-invert") + f"signal_file = {tmp_path / 'nope.csv'}\n"
+    assert main(["--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err.startswith("i/o error: [Errno 2]")
+
+
+def test_signal_without_eta_header_is_run_error(tmp_path, capsys):
+    assert main(["--config", _write(tmp_path, SYNTH_CFG), "--out", str(tmp_path / "sig"), "--quiet"]) == 0
+    signal = tmp_path / "sig" / "signal.csv"
+    lines = signal.read_text().splitlines()
+    assert sum(line.startswith("# eta =") for line in lines) == 1
+    signal.write_text("\n".join(line for line in lines if not line.startswith("# eta =")) + "\n")
+    invert_cfg = SYNTH_CFG.replace("mode = tomo-synth", "mode = tomo-invert") + f"signal_file = {signal}\n"
+    assert main(["--config", _write(tmp_path, invert_cfg, "inv.cfg"), "--out", str(tmp_path / "pop")]) == 3
+    assert capsys.readouterr().err == "error: header is missing key 'eta'\n"
+
+
+@pytest.mark.parametrize("passed, code", [((True, True), 0), ((True, False), 3)], ids=["all-pass", "one-fail"])
+def test_validate_writes_one_line_per_check(tmp_path, monkeypatch, passed, code):
+    # the battery itself is slow and has its own tests; the CLI only reports it
+    import vibronic.acceptance as acceptance
+
+    results = [acceptance.AcceptanceResult(i + 1, f"check {i + 1}", ok, "detail") for i, ok in enumerate(passed)]
+    monkeypatch.setattr(acceptance, "run_all", lambda: results)
+    cfg = _write(tmp_path, "mode = validate\n")
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == code
+    lines = (tmp_path / "out" / "validate.txt").read_text().splitlines()
+    assert lines[:4] == [f"# vibronic {__version__}", "# mode = validate", "# seed = 0", "# threads = 1"]
+    assert lines[4:] == [r.report_line() for r in results]
 
 
 @pytest.mark.parametrize("mode", ["wigner", "tomo-synth", "tomo-invert"])
@@ -451,8 +498,9 @@ ONE_PER_RUN_PATH = {
 
 
 @pytest.mark.parametrize("name", sorted(ONE_PER_RUN_PATH))
-def test_no_mode_reaches_the_dense_oracle(tmp_path, monkeypatch, name):
-    # the dense builders, the generic integrator and the joint-space displacement serve the checks only
+def test_no_mode_reaches_the_dense_oracle(tmp_path, monkeypatch, capsys, name):
+    # the dense builders, the generic integrator and the joint-space displacement serve the checks only;
+    # exact evolve with two carrier tones has no engine and is refused at parse time
     import sys
 
     import vibronic.dynamics as dynamics
@@ -471,7 +519,13 @@ def test_no_mode_reaches_the_dense_oracle(tmp_path, monkeypatch, name):
                 monkeypatch.setattr(module, attr, forbidden)
     monkeypatch.setattr(dynamics.HermitianPropagator, "__init__", forbidden)
     cfg = _write(tmp_path, ONE_PER_RUN_PATH[name])
-    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    code = main(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+    if name == "evolve-exact-k0":
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "config error: exact evolve needs drive.k + drive.k_prime > 0: two carrier tones have no static frame\n"
+    else:
+        assert code == 0
 
 
 def test_wigner_displaces_each_point_once(tmp_path, monkeypatch):

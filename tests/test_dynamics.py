@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 
-from vibronic import _kernels
 from vibronic import (
     AdiabaticityWarning,
     BichromaticAction,
@@ -329,16 +328,6 @@ def test_sector_build_forms_no_joint_space_matrix():
     assert _traced_peak(lambda: BichromaticAction(p, config)) < 8e6
 
 
-def test_carrier_tones_stepper_forms_no_joint_space_matrix():
-    config = HilbertConfig(n_max_c=20, n_max_r=20)
-    p = BichromaticParams(
-        k=0, k_prime=0, delta=0.05, delta_prime=0.02, omega=0.04 * np.exp(0.3j),
-        phi=-0.2, phi0=0.7, modes=ModeParams(eta=0.2),
-    )
-    psi0 = basis_state(config, "dd", 0, 0)
-    assert _traced_peak(lambda: propagate_bichromatic(p, config, psi0, 5.0)) < 8e6
-
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -403,65 +392,15 @@ def test_engine_matches_oracle_on_asymmetric_drive():
     assert abs(out.norm() - 1.0) < 1e-12
 
 
-def test_carrier_tones_converge_on_static_frame():
-    # k = k' = 0 has a static frame only for delta' = -delta, where
-    # H' = H(0) - eps N_e with eps = -delta; the stepper must converge on it
-    config = HilbertConfig(n_max_c=2, n_max_r=1)
-    delta = 0.03
-    p = BichromaticParams(
-        k=0, k_prime=0, delta=delta, delta_prime=-delta, omega=0.02 * np.exp(-0.5j),
-        phi=0.3, phi0=1.2, modes=ModeParams(eta=0.15),
-    )
-    psi0 = bell_dd_uu(config, +1, n_c=1, n_r=0)
-    n_e = np.repeat([0.0, 1.0, 1.0, 2.0], config.dim_vib)
-    t = 30.0
-    rotated = HermitianPropagator(build_bichromatic_H(0.0, p, config) + delta * np.diag(n_e)).apply(psi0, t)
-    exact = np.exp(1j * delta * n_e * t) * rotated.amps
-    err = {dt: np.abs(propagate_bichromatic(p, config, psi0, t, dt_max=dt).amps - exact).max() for dt in (0.1, 0.05)}
-    assert 3.9 <= err[0.1] / err[0.05] <= 4.1
-    assert err[0.05] < 1e-6
-
-
-def test_carrier_tones_stepper_matches_dense_oracle():
-    # the sparse stepper and the dense oracle take the same midpoint steps
-    config = HilbertConfig(n_max_c=3, n_max_r=2)
-    p = BichromaticParams(
-        k=0, k_prime=0, delta=0.05, delta_prime=0.02, omega=0.04 * np.exp(0.3j),
-        phi=-0.2, phi0=0.7, modes=ModeParams(eta=0.2),
-    )
-    psi0 = bell_dd_uu(config, -1, n_c=2, n_r=1)
-    for t in (40.0, -15.0):
-        out = propagate_bichromatic(p, config, psi0, t, dt_max=0.02)
-        assert np.abs(out.amps - _oracle(p, config, psi0, t, 0.02).amps).max() < 1e-11
-        assert abs(out.norm() - 1.0) < 1e-12
-
-
-def test_carrier_tones_store_each_entry_once(monkeypatch):
-    # both tones are one matrix M: the stepper gets the entries of M and of M^dag once, in two phase groups
-    seen = {}
-    stepper = _kernels.propagate_coo
-
-    def spy(rows, cols, vals, groups, *rest):
-        seen.update(nnz=vals.size, groups=sorted(set(groups.tolist())))
-        return stepper(rows, cols, vals, groups, *rest)
-
-    monkeypatch.setattr(_kernels, "propagate_coo", spy)
-    config = HilbertConfig(n_max_c=3, n_max_r=2)
-    p = BichromaticParams(
-        k=0, k_prime=0, delta=0.05, delta_prime=0.02, omega=0.04 * np.exp(0.3j),
-        phi=-0.2, phi0=0.7, modes=ModeParams(eta=0.2),
-    )
-    propagate_bichromatic(p, config, basis_state(config, "dd", 0, 0), 1.0)
-    assert seen == {"nnz": 8 * config.dim_vib, "groups": [0, 1]}
-
-
-@pytest.mark.parametrize("dt_max", [0.0, -0.05])
-@pytest.mark.parametrize("k", [0, 1])
-def test_propagate_bichromatic_rejects_nonpositive_step(k, dt_max):
+def test_propagate_bichromatic_rejects_two_carrier_tones():
+    # k = k' = 0 has no static frame in general, and no engine steps the drive in time
     config = HilbertConfig(n_max_c=2, n_max_r=0)
-    p = BichromaticParams.symmetric(k=k, delta=0.05, omega=0.02, modes=ModeParams(eta=0.1))
-    with pytest.raises(ValueError, match="dt_max"):
-        propagate_bichromatic(p, config, basis_state(config, "dd", 0, 0), 1.0, dt_max=dt_max)
+    p = BichromaticParams(
+        k=0, k_prime=0, delta=0.05, delta_prime=0.02, omega=0.02, phi=0.0, phi0=0.0, modes=ModeParams(eta=0.1),
+    )
+    for t in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"two carrier tones \(k = k' = 0\) have no static frame"):
+            propagate_bichromatic(p, config, basis_state(config, "dd", 0, 0), t)
 
 
 def test_dispersive_leakage_stays_perturbative():
