@@ -403,6 +403,17 @@ def test_propagate_bichromatic_rejects_two_carrier_tones():
             propagate_bichromatic(p, config, basis_state(config, "dd", 0, 0), t)
 
 
+@pytest.mark.parametrize("dt_max", [0.0, -0.05])
+@pytest.mark.parametrize("k", [0, 1])
+def test_propagate_bichromatic_rejects_nonpositive_step(k, dt_max):
+    # propagate_bichromatic takes no step; its stepped reference, the dense
+    # oracle, is the one bichromatic propagation that does, and it needs dt_max > 0
+    config = HilbertConfig(n_max_c=2, n_max_r=0)
+    p = BichromaticParams.symmetric(k=k, delta=0.05, omega=0.02, modes=ModeParams(eta=0.1))
+    with pytest.raises(ValueError, match="dt_max must be positive"):
+        _oracle(p, config, basis_state(config, "dd", 0, 0), 1.0, dt_max)
+
+
 def test_dispersive_leakage_stays_perturbative():
     # far-detuned drive: intermediate |du>, |ud> populations stay at the
     # (coupling / delta)^2 scale instead of order one
