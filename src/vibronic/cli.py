@@ -309,6 +309,8 @@ def parse_config(text: str, seed_override: int | None = None) -> RunConfig:
     cfg = dict(mode=mode, seed=int(seed), hilbert=hilbert, modes=modes, drive=drive, state=state)
 
     if mode in ("bell-phi", "bell-psi"):
+        if k == 0:
+            raise ConfigError(f"{mode} needs drive.k > 0: the dispersive rate vanishes at k = 0")
         cfg["bell_sign"] = reader.sign("bell.sign")
         cfg["bell_start_sign"] = reader.sign("bell.start_sign")
         cfg["bell_engine"] = reader.string("bell.engine", default="effective", choices={"effective", "exact"})

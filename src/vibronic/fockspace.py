@@ -254,10 +254,18 @@ class VibDensity:
     to numerical tolerance.  Off-diagonal coherences are allowed and are
     carried through displacement exactly; the tomography signal itself
     reads only the diagonal.
+
+    `members` is an exact ensemble (weights, vectors) of the same state,
+    matrix = sum_k weights[k] vectors[k] vectors[k]^dag, with one row of
+    `vectors` (length dim_vib) per member.  `make_vib_state` and
+    `reduce_vibrational` supply it; a density built from a bare matrix
+    leaves it None, and `ensemble()` then fills it on first use from one
+    `eigh` of the matrix, every eigenpair kept.
     """
 
     matrix: np.ndarray
     config: HilbertConfig
+    members: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.config.dim_vib
@@ -265,6 +273,19 @@ class VibDensity:
             raise ValueError(
                 f"density matrix has shape {self.matrix.shape}, config wants ({d}, {d})"
             )
+        if self.members is not None:
+            weights, vectors = self.members
+            if weights.ndim != 1 or weights.size == 0 or vectors.shape != (weights.size, d):
+                raise ValueError(
+                    f"ensemble has weights {weights.shape} and vectors {vectors.shape}; "
+                    f"need (r,) and (r, {d}) with r >= 1"
+                )
+
+    def ensemble(self) -> tuple[np.ndarray, np.ndarray]:
+        """(weights, vectors) with matrix = sum_k weights[k] vectors[k] vectors[k]^dag."""
+        if self.members is None:
+            object.__setattr__(self, "members", _spectral_ensemble(self.matrix))
+        return self.members
 
     def populations(self) -> np.ndarray:
         """Fock populations as a real (dim_c, dim_r) grid."""
@@ -272,6 +293,12 @@ class VibDensity:
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
+
+
+def _spectral_ensemble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors (as rows) of a Hermitian matrix: its exact spectral ensemble."""
+    weights, vectors = np.linalg.eigh(matrix)
+    return weights, vectors.T
 
 
 # --------------------------------------------------------------------------
@@ -402,17 +429,21 @@ def make_vib_state(spec: StateSpec, config: HilbertConfig) -> VibDensity:
 
     Supports Fock products, two-mode thermal products (truncated geometric
     weights, renormalized), coherent products, and pure superpositions of
-    Fock pairs.  The result passes through the truncation guard.
+    Fock pairs.  The result carries its ensemble: the state vector for a
+    pure recipe, one Fock state per nonzero weight for a thermal one.  It
+    passes through the truncation guard.
     """
     if spec.kind == "thermal":
         w = np.outer(
             thermal_weights(spec.nbar_c, config.dim_c),
             thermal_weights(spec.nbar_r, config.dim_r),
         ).reshape(config.dim_vib)
-        rho = VibDensity(np.diag(w).astype(complex), config)
+        occupied = np.flatnonzero(w)  # one Fock member per nonzero weight
+        members = (w[occupied], np.eye(config.dim_vib, dtype=complex)[occupied])
+        rho = VibDensity(np.diag(w).astype(complex), config, members)
     else:
         psi = _pure_vector(spec, config)
-        rho = VibDensity(np.outer(psi, psi.conj()), config)
+        rho = VibDensity(np.outer(psi, psi.conj()), config, (np.ones(1), psi[None, :]))
     truncation_guard(rho)
     return rho
 
@@ -461,9 +492,12 @@ def reduce_electronic(state: JointState) -> np.ndarray:
 
 
 def reduce_vibrational(state: JointState) -> VibDensity:
-    """Partial trace over the electronic factor -> two-mode density matrix."""
+    """Partial trace over the electronic factor -> two-mode density matrix.
+
+    Its ensemble is the four electronic components, each with weight 1.
+    """
     t = state.amps.reshape(4, state.config.dim_vib)
-    return VibDensity(np.einsum("av,aw->vw", t, t.conj()), state.config)
+    return VibDensity(np.einsum("av,aw->vw", t, t.conj()), state.config, (np.ones(4), t.copy()))
 
 
 def _mode_populations(obj: JointState | VibDensity) -> tuple[np.ndarray, np.ndarray]:

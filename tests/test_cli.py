@@ -290,6 +290,16 @@ def test_exit_code_degenerate_inversion(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("engine", ["effective", "exact"])
+@pytest.mark.parametrize("mode", ["bell-phi", "bell-psi"])
+def test_bell_at_k0_is_config_error(tmp_path, capsys, mode, engine):
+    # the dispersive rate vanishes at k = 0, so no pulse time exists
+    out = tmp_path / "out"
+    assert main(["--config", _write(tmp_path, _small(mode, 0, f"[bell]\nengine = {engine}\n")), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {mode} needs drive.k > 0: the dispersive rate vanishes at k = 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_number_is_config_error(tmp_path, capsys, value):
     bad = _write(tmp_path, SPECTRUM_CFG.replace("delta = 0.02", f"delta = {value}"))
@@ -500,10 +510,12 @@ ONE_PER_RUN_PATH = {
 @pytest.mark.parametrize("name", sorted(ONE_PER_RUN_PATH))
 def test_no_mode_reaches_the_dense_oracle(tmp_path, monkeypatch, capsys, name):
     # the dense builders, the generic integrator and the joint-space displacement serve the checks only;
+    # every state a run builds carries its ensemble, so none is decomposed by eigh;
     # exact evolve with two carrier tones has no engine and is refused at parse time
     import sys
 
     import vibronic.dynamics as dynamics
+    import vibronic.fockspace as fockspace
     import vibronic.tomography as tomography
 
     def forbidden(*args, **kwargs):
@@ -513,6 +525,7 @@ def test_no_mode_reaches_the_dense_oracle(tmp_path, monkeypatch, capsys, name):
         "build_bichromatic_H", "propagate_timedep", "_expm_apply_dense", "build_effective_H", "build_carrier_H",
     )}
     dense["displace_vib"] = tomography.displace_vib
+    dense["_spectral_ensemble"] = fockspace._spectral_ensemble
     for module in [m for key, m in sys.modules.items() if key.startswith("vibronic")]:
         for attr, original in dense.items():
             if getattr(module, attr, None) is original:

@@ -15,6 +15,7 @@ from vibronic import (
     BichromaticParams,
     DegeneracyError,
     HilbertConfig,
+    JointState,
     ModeParams,
     PopulationEstimate,
     RabiSpectrum,
@@ -27,16 +28,20 @@ from vibronic import (
     displace_vib,
     displaced_populations,
     invert_populations,
+    make_phi,
     make_vib_state,
+    make_vib_vector,
     protocol_run,
     rabi_effective,
     rabi_spectrum,
+    reduce_vibrational,
+    run_sequence,
     synth_signal,
     wigner_direct,
     wigner_from_populations,
 )
 from vibronic.dynamics import HermitianPropagator
-from vibronic.fockspace import TruncationWarning, VibDensity, basis_state, displacement
+from vibronic.fockspace import TruncationWarning, VibDensity, basis_state
 
 MODES = ModeParams(eta=0.23)
 DRIVE = BichromaticParams.symmetric(k=1, delta=0.02, omega=0.05, modes=MODES)
@@ -123,39 +128,69 @@ def _random_density(config, seed):
     return VibDensity(m / np.trace(m).real, config)
 
 
-@pytest.mark.parametrize("grid", [(9, 3), (3, 9), (12, 0), (0, 5), (6, 6)])
+def _bell_sequence_density(config):
+    """reduce_vibrational after the Phi pulse on |dd> x a superposition: the dd and uu components differ, so it is mixed."""
+    top = (min(2, config.n_max_c), min(1, config.n_max_r))
+    vib = make_vib_vector(StateSpec.superposition([(0, 0, 1.0), (*top, 0.6 + 0.8j)]), config)
+    seq = make_phi(1, DRIVE, config)[2]
+    return reduce_vibrational(run_sequence(seq, config, JointState(np.kron([1.0, 0.0, 0.0, 0.0], vib), config)))
+
+
+def _ensemble_states(config):
+    """One state of each constructor's ensemble, and one bare matrix that takes the eigh path."""
+    top = (min(2, config.n_max_c), min(1, config.n_max_r))
+    return {
+        "fock": make_vib_state(StateSpec.fock(*top), config),
+        "coherent": make_vib_state(StateSpec.coherent(0.3 - 0.2j, 0.1 + 0.2j), config),
+        "superposition": make_vib_state(StateSpec.superposition([(0, 0, 1.0), (*top, 0.5 - 1.0j)]), config),
+        "thermal, nbar_r = 0": make_vib_state(StateSpec.thermal(0.4, 0.0), config),
+        "thermal, nbar_r > 0": make_vib_state(StateSpec.thermal(0.4, 0.2), config),
+        "bell sequence": _bell_sequence_density(config),
+        "bare matrix": _random_density(config, config.n_max_c + config.n_max_r),
+    }
+
+
+@pytest.mark.parametrize("grid", [(9, 3), (3, 9), (12, 0), (0, 5), (6, 6), (30, 10)])
 def test_displaced_populations_match_displace_vib(grid):
     config = HilbertConfig(*grid)
-    top = (min(2, grid[0]), min(1, grid[1]))
-    points = [(0.0, 0.0), (0.4 + 0.3j, -0.2 + 0.5j), (-0.7j, 0.3), (-0.5 - 0.1j, -0.4 - 0.4j)]
+    # first-order rounding of a length-n inner product of unit-norm factors is n u = n eps / 2; the dense
+    # reference takes two products of length dim_vib, the contraction two of length <= dim_vib, and a bare
+    # matrix adds its eigh backward error, also O(dim_vib eps); populations are at most 1
+    tol = 4 * config.dim_vib * np.finfo(float).eps
+    points = [(0.0, 0.0), (0.4 + 0.3j, -0.2 + 0.5j), (-0.7j, 0.3), (-0.5 - 0.1j, -0.4 - 0.4j), (1.1 - 0.6j, 0.8 + 0.9j)]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        states = [
-            make_vib_state(StateSpec.fock(*top), config),
-            make_vib_state(StateSpec.thermal(0.4, 0.2), config),
-            make_vib_state(StateSpec.coherent(0.3 - 0.2j, 0.1j), config),
-            make_vib_state(StateSpec.superposition([(0, 0, 1.0), (*top, 0.5 - 1.0j)]), config),
-            _random_density(config, sum(grid)),
-        ]
-        for rho in states:
+        warnings.simplefilter("ignore")  # truncation and adiabaticity do not bear on the comparison
+        states = _ensemble_states(config)
+        assert states["bare matrix"].members is None
+        for name, rho in states.items():
+            weights, vectors = rho.ensemble()
+            assert np.abs((vectors.T * weights) @ vectors.conj() - rho.matrix).max() <= tol, name
             for ac, ar in points:
                 pops = displaced_populations(rho, ac, ar)
                 assert pops.shape == (config.dim_c, config.dim_r)
-                assert np.abs(pops - displace_vib(rho, ac, ar).populations()).max() < 1e-13
+                assert np.abs(pops - displace_vib(rho, ac, ar).populations()).max() <= tol, (name, ac, ar)
+    assert states["thermal, nbar_r = 0"].ensemble()[0].size == config.dim_c
+    assert states["thermal, nbar_r > 0"].ensemble()[0].size == config.dim_vib
+    assert states["bare matrix"].ensemble()[0].size == config.dim_vib
 
 
 @pytest.mark.parametrize("grid", [(9, 3), (0, 5), (6, 6)])
 def test_array_displaced_populations_equal_per_point_calls(grid):
+    # a full-rank matrix contracts one point at a time, a pure state all five at once,
+    # and thermal with nbar_r = 0 (dim_c members) in chunks of dim_r points
     config = HilbertConfig(*grid)
     rho = _random_density(config, 7)
     points = [(0.0, 0.0), (0.4 + 0.3j, -0.2 + 0.5j), (-0.7j, 0.3), (-0.5 - 0.1j, -0.4 - 0.4j), (0.2, 0.0)]
     alpha_c, alpha_r = (np.array(col, complex) for col in zip(*points))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        stack = displaced_populations(rho, alpha_c, alpha_r)
-        assert stack.shape == (len(points), config.dim_c, config.dim_r)
-        for pops, (ac, ar) in zip(stack, points):
-            assert np.array_equal(pops, displaced_populations(rho, ac, ar))
+        pure = make_vib_state(StateSpec.coherent(0.3 - 0.2j, 0.1 + 0.2j), config)
+        thermal = make_vib_state(StateSpec.thermal(0.4, 0.0), config)
+        for state in (rho, pure, thermal):
+            stack = displaced_populations(state, alpha_c, alpha_r)
+            assert stack.shape == (len(points), config.dim_c, config.dim_r)
+            for pops, (ac, ar) in zip(stack, points):
+                assert np.array_equal(pops, displaced_populations(state, ac, ar))
     assert displaced_populations(rho, alpha_c[:0], alpha_r[:0]).shape == (0, config.dim_c, config.dim_r)
     with pytest.raises(ValueError, match="equal length"):
         displaced_populations(rho, alpha_c, alpha_r[:-1])
@@ -356,6 +391,15 @@ def test_wigner_direct_vacuum_closed_form():
         assert wigner_direct(rho, ac, ar) == pytest.approx(want, abs=1e-10)
 
 
+def test_wigner_direct_vacuum_reaches_the_top_of_the_grid():
+    # grid (40, 40): a joint-space unitary would be 1681 x 1681; the ensemble contraction takes two small products a point
+    rho = vacuum(40, 40)
+    tol = 4 * rho.config.dim_vib * np.finfo(float).eps * WIGNER_BOUND  # the rounding bound of the population test
+    for ac, ar in [(0.0, 0.0), (0.6 - 0.3j, 0.2j), (-0.5j, 0.7 + 0.7j), (1.0, -1.0j)]:
+        want = WIGNER_BOUND * math.exp(-2 * abs(ac) ** 2 - 2 * abs(ar) ** 2)
+        assert abs(wigner_direct(rho, ac, ar) - want) <= tol
+
+
 def test_wigner_direct_fock_one_origin():
     rho = make_vib_state(StateSpec.fock(1, 0), HilbertConfig(n_max_c=6, n_max_r=4))
     assert wigner_direct(rho, 0.0, 0.0) == pytest.approx(-WIGNER_BOUND, abs=1e-12)
@@ -433,15 +477,14 @@ def test_protocol_equals_per_point_public_path(shots, ridge):
 
 
 def _per_point_reference(rho, grid, taus, shots, seed, n_fit, ridge):
-    """protocol_run spelled out point by point from the module's own steps."""
+    """protocol_run spelled out point by point from the module's own steps, one displaced_populations call each."""
     cfg = rho.config
     synth = tomography.design_matrix(tomography._fit_frequencies(DRIVE, cfg.n_max_c, cfg.n_max_r), taus)
     fit = tomography._fit_design(DRIVE, *n_fit, taus)
     cond = float(np.linalg.cond(fit))
     out = []
     for idx, (ac, ar) in enumerate(grid):
-        u = np.kron(displacement(ac, "c", cfg), displacement(ar, "r", cfg))
-        pops = np.sum(u.conj() * (rho.matrix @ u), axis=0).real.reshape(cfg.dim_c, cfg.dim_r)
+        pops = displaced_populations(rho, ac, ar)
         point_seed = int(np.random.SeedSequence((seed, idx)).generate_state(1)[0])
         record = tomography._draw(synth, pops, taus, DRIVE, shots, point_seed)
         est = tomography._solve(fit, cond, tomography._ridge_design(fit, ridge), record.p_dd, (n_fit[0] + 1, n_fit[1] + 1))
@@ -507,10 +550,8 @@ def test_protocol_rejects_nan_state(shots):
         protocol_run(VibDensity(matrix, config), LINE, default_tau_grid(DRIVE, 10, 2), DRIVE, shots=shots, n_fit_c=10, n_fit_r=2)
 
 
-def test_protocol_scan_memory_stays_per_point():
-    # a 21-point scan at grid (20, 4) peaks near 2 MB; stacking every
-    # point's 105 x 105 unitary at once would take it past 11 MB
-    rho = vacuum(20, 4)
+def _scan_peak_bytes(rho):
+    """tracemalloc peak of a 21-point shot-noise scan at grid (20, 4), after a warm-up run."""
     taus = default_tau_grid(DRIVE, 18, 2)
     grid = [(0.05 * i - 0.2j, 0.03 * i) for i in range(21)]
     protocol_run(rho, grid[:2], taus, DRIVE, shots=3000, seed=2, n_fit_c=18, n_fit_r=2)  # loads scipy, fills caches
@@ -521,7 +562,20 @@ def test_protocol_scan_memory_stays_per_point():
     finally:
         tracemalloc.stop()
     assert len(points) == len(grid)
-    assert peak < 4e6
+    return peak
+
+
+def test_protocol_scan_memory_stays_per_point():
+    # a 21-point scan of the one-member vacuum at grid (20, 4) peaks near 2 MB;
+    # stacking every point's 105 x 105 unitary at once would take it past 11 MB
+    assert _scan_peak_bytes(vacuum(20, 4)) < 4e6
+
+
+def test_protocol_scan_memory_stays_per_chunk_with_many_members():
+    # every Fock pair of this thermal state is a member, so each chunk is one point
+    rho = make_vib_state(StateSpec.thermal(0.1, 0.005), HilbertConfig(n_max_c=20, n_max_r=4))
+    assert rho.ensemble()[0].size == 105
+    assert _scan_peak_bytes(rho) < 4e6
 
 
 def test_protocol_builds_design_once_per_run(monkeypatch):
