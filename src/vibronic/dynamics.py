@@ -56,7 +56,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .fockspace import (
     HilbertConfig,
     JointState,
@@ -390,6 +389,9 @@ class FactoredPropagator:
         return JointState(amps=amps.ravel(), config=state.config)
 
 
+MAX_TAYLOR_TERMS = 40
+
+
 def _expm_apply_dense(h: np.ndarray, psi: np.ndarray, dt: float, tol: float = 1e-15) -> np.ndarray:
     """exp(-i h dt) @ psi by scaled adaptive Taylor (dense helper)."""
     bound = float(np.abs(h).sum(axis=0).max()) * abs(dt)
@@ -404,7 +406,7 @@ def _expm_apply_dense(h: np.ndarray, psi: np.ndarray, dt: float, tol: float = 1e
             j += 1
             term = (-1j * dtau / j) * (h @ term)
             out = out + term
-            if np.linalg.norm(term) <= thresh or j >= _kernels.MAX_TAYLOR_TERMS:
+            if np.linalg.norm(term) <= thresh or j >= MAX_TAYLOR_TERMS:
                 break
     return out
 

@@ -29,12 +29,11 @@ products per point, while displace_vib keeps the dense product as the
 reference.
 
 Shot noise draws sample j of a record seeded with s from the substream
-SeedSequence((s, j)) through PCG64.  Those substreams are computed in one
-batch: numpy's SeedSequence hash and the PCG64 seeding step are applied to
-all (s, j) words at once in uint32 arrays (protocol_run hashes every point
-seed and every point x sample substream in one pass), and each sample then
-sets its state on one reused Generator.  The counts equal per-sample
-PCG64(SeedSequence((s, j))) draws bit for bit, for any non-negative seed.
+SeedSequence((s, j)) through PCG64.  numpy's SeedSequence hash runs over
+uint32 arrays to give the generate_state(4, uint64) words of every (s, j) at
+once (protocol_run: every point seed, then every point x sample), and numpy
+seeds each sample's PCG64 from its words; noise-free runs hash nothing.  The
+counts equal per-sample PCG64(SeedSequence((s, j))) draws bit for bit.
 
 scipy is imported on the first NNLS solve only, so the modes that never
 solve do not load it.
@@ -57,15 +56,12 @@ _FREQ_COLLISION_TOL = 1e-12
 _COND_THRESHOLD = 1e8
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
-# 128-bit LCG multiplier (numpy/random/src/pcg64)
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 class DegeneracyError(ValueError):
@@ -303,9 +299,9 @@ def synth_signal(
 ) -> SignalRecord:
     """Simulate the P_dd(tau) series for an (already displaced) state.
 
-    shots = 0 returns the exact model values; shots > 0 replaces each
-    sample with a binomial draw using an independent substream derived from
-    (seed, sample index), so any sample can be regenerated in isolation.
+    shots = 0 returns the exact model values; shots > 0 replaces sample j with
+    a binomial draw from PCG64(SeedSequence((seed, j))), so any sample can be
+    regenerated in isolation.  A bad seed raises as SeedSequence does, whatever shots is.
     """
     taus = np.asarray(taus, dtype=float)
     a = design_matrix(_fit_frequencies(p, rho.config.n_max_c, rho.config.n_max_r), taus)
@@ -314,15 +310,16 @@ def synth_signal(
 
 def _draw(a: np.ndarray, pops: np.ndarray, taus: np.ndarray, p: BichromaticParams, shots: int, seed: int) -> SignalRecord:
     """One record of the Fock populations ``pops`` through ``a``, the cos^2 design on their full grid."""
-    streams = _pcg64_streams(_seed_column(seed), taus.size) if shots > 0 else None
-    p_dd = _sample(a @ pops.ravel(), shots, streams)
+    p_dd = _sample(a @ pops.ravel(), shots, _seed_column(seed))
     return SignalRecord(taus=taus, p_dd=p_dd, shots=np.full(taus.size, shots), params=p, seed=seed)
 
 
-def _sample(probs: np.ndarray, shots: int, streams) -> np.ndarray:
+def _sample(probs: np.ndarray, shots: int, seed_words: np.ndarray | None) -> np.ndarray:
     """The clipped probabilities, or with shots > 0 a binomial count / shots for each.
 
-    Draw j sets the PCG64 (state, inc) streams[j] on one reused Generator.
+    Entry j of row s of ``probs`` (1-d: one row) draws from a PCG64 that numpy
+    seeds with SeedSequence((s, j)).generate_state(4, uint64), for s the seed in
+    column s of ``seed_words``; all (s, j) are hashed at once.
     """
     if shots < 0:
         raise ValueError("shots must be >= 0")
@@ -330,16 +327,13 @@ def _sample(probs: np.ndarray, shots: int, streams) -> np.ndarray:
     probs = np.clip(probs, 0.0, 1.0)
     if shots == 0:
         return probs
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
-    words = {}
-    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
-    counts = np.empty(probs.size, np.int64)
-    for j, ((pcg_state, inc), prob) in enumerate(zip(streams, probs.tolist())):
-        words["state"], words["inc"] = pcg_state, inc
-        bit_generator.state = state
-        counts[j] = rng.binomial(shots, prob)
-    return counts / shots
+    words = _substream_words(seed_words, probs.shape[-1], 8)
+    # generate_state(4, uint64) joins word pairs little-endian; each row is C-contiguous
+    states = np.stack(words, axis=-1).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    counts, holder = np.empty(probs.size, np.int64), _state_words_type()
+    for j, (state, prob) in enumerate(zip(states, probs.ravel().tolist())):
+        counts[j] = np.random.Generator(np.random.PCG64(holder(state))).binomial(shots, prob)
+    return counts.reshape(probs.shape) / shots
 
 
 # ---------------------------------------------------------------------------
@@ -406,22 +400,26 @@ def _point_seeds(seed, count: int) -> np.ndarray:
     return _substream_words(_seed_column(seed), count, 1)[0]
 
 
-def _pcg64_streams(seed_words: np.ndarray, count: int) -> list[tuple[int, int]]:
-    """PCG64(SeedSequence((s, j))) (state, inc) for every seed column s and j < count, s-major.
+@lru_cache(maxsize=1)
+def _state_words_type() -> type:
+    """The PCG64 seed holder class: it serves one precomputed SeedSequence.generate_state(4, uint64).
 
-    PCG64 takes generate_state(4, uint64) as (initstate, initseq), high
-    word first, and seeds inc = 2 initseq + 1 and
-    state = ((inc + initstate) M + inc) mod 2^128.
+    PCG64 makes only that request and reads the buffer directly, so ``words``
+    is a C-contiguous native uint64 array; any other request is refused.  Built
+    on the first shot draw: modes which draw none never load numpy.random.
     """
-    words = _substream_words(seed_words, count, 8)
-    # generate_state(4, uint64) joins word pairs little-endian
-    halves = [(lo.astype(np.uint64) | hi.astype(np.uint64) << np.uint64(32)).tolist()
-              for lo, hi in zip(words[::2], words[1::2])]
-    streams = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
-        inc = (((seq_hi << 64 | seq_lo) << 1) | 1) & _MASK128
-        streams.append((((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return streams
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.dtype(np.uint64):
+                raise ValueError(f"holds generate_state(4, uint64) only, not ({n_words}, {np.dtype(dtype)})")
+            return self.words
+
+    return StateWords
 
 
 # ---------------------------------------------------------------------------
@@ -575,12 +573,12 @@ def protocol_run(
     cond = float(np.linalg.cond(fit))
     fit_solve = _ridge_design(fit, ridge)
     alphas = list(alphas)
-    point_seeds = _point_seeds(seed, len(alphas))
-    streams = _pcg64_streams(point_seeds[None, :], taus.size) if shots > 0 else None
+    _seed_column(seed)  # a bad seed raises before any point is displaced
     pops = displaced_populations(rho, *np.array(alphas, complex).reshape(len(alphas), 2).T)
     # bit for bit synth @ pops per point, which pops @ synth.T is not
     probs = (synth @ pops.reshape(len(alphas), cfg.dim_vib, 1))[..., 0]
-    p_dd = _sample(probs.ravel(), shots, streams).reshape(probs.shape)
+    # point idx is seeded with SeedSequence((seed, idx)).generate_state(1)[0]; noise-free scans hash nothing
+    p_dd = _sample(probs, shots, _point_seeds(seed, len(alphas))[None, :] if shots > 0 else None)
     points = []
     for (ac, ar), exact, record in zip(alphas, pops, p_dd):
         est = _solve(fit, cond, fit_solve, record, (n_fit_c + 1, n_fit_r + 1))

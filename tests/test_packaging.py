@@ -48,7 +48,10 @@ def test_fockspace_all_names_exist():
 
 
 def _load_time_imports(tree: ast.Module) -> set[str]:
-    """Top-level names a module imports when it is loaded: every import outside a function body."""
+    """Top-level names a module imports when it is loaded: every import outside a function body.
+
+    A relative import keeps its dots: ``from . import m`` and ``from .m import x`` both give ".m".
+    """
     names, stack = set(), list(tree.body)
     while stack:
         node = stack.pop()
@@ -56,8 +59,9 @@ def _load_time_imports(tree: ast.Module) -> set[str]:
             continue
         if isinstance(node, ast.Import):
             names.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            dots = "." * node.level
+            names.update([dots + node.module.split(".")[0]] if node.module else [dots + a.name for a in node.names])
         stack.extend(ast.iter_child_nodes(node))
     return names
 
@@ -66,6 +70,17 @@ def test_no_module_imports_scipy_at_load_time():
     loaders = [
         path.name for path in (ROOT / "src" / "vibronic").rglob("*.py")
         if "scipy" in _load_time_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert loaders == []
+
+
+def test_no_module_imports_the_retired_stepper():
+    # _kernels.propagate_coo stays only as a benchmark trace target; no run path may load it
+    assert "._kernels" in _load_time_imports(ast.parse("from . import _kernels"))
+    assert "._kernels" in _load_time_imports(ast.parse("from ._kernels import propagate_coo"))
+    loaders = [
+        path.name for path in (ROOT / "src" / "vibronic").rglob("*.py")
+        if "._kernels" in _load_time_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert loaders == []
 
@@ -102,26 +117,31 @@ shots = 300
 """
 
 
-def _scipy_loaded_after(code: str, cwd: Path) -> bool:
-    """Runs ``code`` in a fresh interpreter and reports whether scipy got imported."""
+def _loaded_after(module: str, code: str, cwd: Path) -> bool:
+    """Runs ``code`` in a fresh interpreter and reports whether ``module`` got imported."""
     path = [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     out = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\nprint('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys\n{code}\nprint({module!r} in sys.modules)"],
         cwd=cwd, env=env, capture_output=True, text=True, check=True,
     ).stdout
     return out.splitlines()[-1] == "True"
 
 
 def test_importing_the_cli_loads_no_scipy(tmp_path):
-    assert not _scipy_loaded_after("import vibronic, vibronic.cli", tmp_path)
+    assert not _loaded_after("scipy", "import vibronic, vibronic.cli", tmp_path)
+
+
+def test_importing_the_cli_loads_no_numpy_random(tmp_path):
+    # numpy.random (about 6 MB and 15 ms to load) waits for the first shot draw
+    assert not _loaded_after("numpy.random", "import vibronic, vibronic.cli", tmp_path)
 
 
 @pytest.mark.parametrize("text, solves", [(BELL_PHI_CFG, False), (TOMO_INVERT_CFG, True)], ids=["bell-phi", "tomo-invert"])
 def test_only_solving_jobs_load_scipy(tmp_path, text, solves):
     (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
     run = "from vibronic.cli import main\nassert main(['--config', 'run.cfg', '--out', 'out', '--quiet']) == 0"
-    assert _scipy_loaded_after(run, tmp_path) == solves
+    assert _loaded_after("scipy", run, tmp_path) == solves
 
 
 def _bench_targets() -> list[tuple[str, str]]:

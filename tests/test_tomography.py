@@ -231,14 +231,27 @@ def test_synth_shot_noise_deterministic_per_seed():
 SUBSTREAM_SEEDS = [0, 1, 7, 12345, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**130 + 17]
 
 
+def _record_state_words(monkeypatch) -> list:
+    """Every array the PCG64 seed holder hands numpy, in draw order."""
+    handed, holder = [], tomography._state_words_type()
+    real = holder.generate_state
+
+    def recording(self, n_words, dtype=np.uint32):
+        handed.append(real(self, n_words, dtype))
+        return handed[-1]
+
+    monkeypatch.setattr(holder, "generate_state", recording)
+    return handed
+
+
 @pytest.mark.parametrize("seed", SUBSTREAM_SEEDS)
-def test_batched_substreams_equal_per_sample_seed_sequences(seed):
+def test_batched_substreams_equal_per_sample_seed_sequences(seed, monkeypatch):
     taus = np.linspace(0.0, 200.0, 40)
-    streams = tomography._pcg64_streams(tomography._seed_column(seed), taus.size)
-    assert len(streams) == taus.size
-    for j, stream in enumerate(streams):
-        state = np.random.PCG64(np.random.SeedSequence((seed, j))).state["state"]
-        assert stream == (state["state"], state["inc"])
+    handed = _record_state_words(monkeypatch)
+    synth_signal(vacuum(6, 3), taus, DRIVE, shots=3000, seed=seed)
+    assert len(handed) == taus.size
+    for j, words in enumerate(handed):
+        assert words.tolist() == np.random.SeedSequence((seed, j)).generate_state(4, np.uint64).tolist()
     rho = vacuum(6, 3)
     exact = synth_signal(rho, taus, DRIVE, shots=0).p_dd
     per_sample = [
@@ -252,6 +265,42 @@ def test_batched_substreams_equal_per_sample_seed_sequences(seed):
 def test_point_seeds_equal_generate_state(seed):
     expected = [int(np.random.SeedSequence((seed, idx)).generate_state(1)[0]) for idx in range(30)]
     assert tomography._point_seeds(seed, 30).tolist() == expected
+
+
+def test_state_words_holder_serves_only_pcg64_seeding(monkeypatch):
+    holder = tomography._state_words_type()(np.arange(4, dtype=np.uint64))
+    assert holder.generate_state(4, np.uint64) is holder.words
+    requests = [(4, np.uint32), (8, np.uint32), (1, np.uint32), (3, np.uint64), (8, np.uint64),
+                (4, np.int64), (4, np.dtype(np.uint64).newbyteorder())]
+    for n_words, dtype in requests:
+        with pytest.raises(ValueError):
+            holder.generate_state(n_words, dtype)
+    with pytest.raises(ValueError):
+        holder.generate_state(4)
+    # PCG64 reads the buffer it is handed directly
+    handed, taus = _record_state_words(monkeypatch), default_tau_grid(DRIVE, 10, 2)
+    synth_signal(vacuum(6, 3), np.linspace(0.0, 200.0, 25), DRIVE, shots=500, seed=2**70 + 3)
+    protocol_run(vacuum(), LINE[:3], taus, DRIVE, shots=300, seed=4, n_fit_c=10, n_fit_r=2)
+    assert len(handed) == 25 + 3 * taus.size
+    for words in handed:
+        assert words.shape == (4,) and words.dtype == np.uint64 and words.dtype.isnative
+        assert words.flags.c_contiguous
+
+
+def test_noise_free_runs_hash_nothing(monkeypatch):
+    rho, taus = vacuum(), default_tau_grid(DRIVE, 10, 2)
+    expected = protocol_run(rho, LINE, taus, DRIVE, shots=0, seed=3, n_fit_c=10, n_fit_r=2)
+    expected_signal = synth_signal(rho, taus, DRIVE, shots=0, seed=3)
+
+    def refuse(*args):
+        raise AssertionError("a noise-free run hashed a substream")
+
+    monkeypatch.setattr(tomography, "_substream_words", refuse)
+    points = protocol_run(rho, LINE, taus, DRIVE, shots=0, seed=3, n_fit_c=10, n_fit_r=2)
+    for got, want in zip(points, expected, strict=True):
+        assert got.wigner == want.wigner and got.w_exact == want.w_exact
+        assert got.estimate.pi.tobytes() == want.estimate.pi.tobytes()
+    assert synth_signal(rho, taus, DRIVE, shots=0, seed=3).p_dd.tobytes() == expected_signal.p_dd.tobytes()
 
 
 @contextlib.contextmanager
@@ -282,6 +331,7 @@ def test_bad_seed_raises_as_numpy_does_before_any_point(seed, monkeypatch):
     taus = default_tau_grid(DRIVE, 10, 2)
     runs = [
         lambda: synth_signal(vacuum(6, 3), np.linspace(0.0, 200.0, 25), DRIVE, shots=500, seed=seed),
+        lambda: synth_signal(vacuum(6, 3), np.linspace(0.0, 200.0, 25), DRIVE, shots=0, seed=seed),
         lambda: protocol_run(vacuum(), LINE, taus, DRIVE, shots=300, seed=seed, n_fit_c=10, n_fit_r=2),
         lambda: protocol_run(vacuum(), LINE, taus, DRIVE, shots=0, seed=seed, n_fit_c=10, n_fit_r=2),
     ]
