@@ -248,57 +248,42 @@ class JointState:
 
 @dataclass(frozen=True)
 class VibDensity:
-    """Density matrix on the two-mode vibrational space alone.
+    """State on the two-mode vibrational space, held as an exact ensemble.
 
-    Valid instances are Hermitian, unit-trace and positive semidefinite up
-    to numerical tolerance.  Off-diagonal coherences are allowed and are
+    rho = sum_k weights[k] |v_k><v_k|, where v_k is row k of `vectors`
+    (shape (r, dim_vib), r >= 1).  The weights must be finite and >= 0, so
+    every instance is positive semidefinite; a unit trace is the
+    constructors' job.  Off-diagonal coherences live in the vectors and are
     carried through displacement exactly; the tomography signal itself
-    reads only the diagonal.
-
-    `members` is an exact ensemble (weights, vectors) of the same state,
-    matrix = sum_k weights[k] vectors[k] vectors[k]^dag, with one row of
-    `vectors` (length dim_vib) per member.  `make_vib_state` and
-    `reduce_vibrational` supply it; a density built from a bare matrix
-    leaves it None, and `ensemble()` then fills it on first use from one
-    `eigh` of the matrix, every eigenpair kept.
+    reads only the populations.  `matrix()` forms the dim_vib x dim_vib
+    matrix on demand, for the references and tests only.
     """
 
-    matrix: np.ndarray
+    weights: np.ndarray
+    vectors: np.ndarray
     config: HilbertConfig
-    members: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.config.dim_vib
-        if self.matrix.shape != (d, d):
+        if self.weights.ndim != 1 or self.weights.size == 0 or self.vectors.shape != (self.weights.size, d):
             raise ValueError(
-                f"density matrix has shape {self.matrix.shape}, config wants ({d}, {d})"
+                f"ensemble has weights {self.weights.shape} and vectors {self.vectors.shape}; "
+                f"need (r,) and (r, {d}) with r >= 1"
             )
-        if self.members is not None:
-            weights, vectors = self.members
-            if weights.ndim != 1 or weights.size == 0 or vectors.shape != (weights.size, d):
-                raise ValueError(
-                    f"ensemble has weights {weights.shape} and vectors {vectors.shape}; "
-                    f"need (r,) and (r, {d}) with r >= 1"
-                )
+        if not (np.all(np.isfinite(self.weights)) and np.all(self.weights >= 0)):
+            raise ValueError("weights must be finite numbers >= 0")
 
-    def ensemble(self) -> tuple[np.ndarray, np.ndarray]:
-        """(weights, vectors) with matrix = sum_k weights[k] vectors[k] vectors[k]^dag."""
-        if self.members is None:
-            object.__setattr__(self, "members", _spectral_ensemble(self.matrix))
-        return self.members
+    def matrix(self) -> np.ndarray:
+        """The density matrix sum_k weights[k] v_k v_k^dag, dim_vib x dim_vib."""
+        return (self.vectors.T * self.weights) @ self.vectors.conj()
 
     def populations(self) -> np.ndarray:
         """Fock populations as a real (dim_c, dim_r) grid."""
-        return np.real(np.diag(self.matrix)).reshape(self.config.dim_c, self.config.dim_r)
+        pops = self.weights @ (self.vectors * self.vectors.conj()).real
+        return pops.reshape(self.config.dim_c, self.config.dim_r)
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
-
-def _spectral_ensemble(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors (as rows) of a Hermitian matrix: its exact spectral ensemble."""
-    weights, vectors = np.linalg.eigh(matrix)
-    return weights, vectors.T
+        return float(self.populations().sum())
 
 
 # --------------------------------------------------------------------------
@@ -425,25 +410,25 @@ def _pure_vector(spec: StateSpec, config: HilbertConfig) -> np.ndarray:
 
 
 def make_vib_state(spec: StateSpec, config: HilbertConfig) -> VibDensity:
-    """Build a vibrational density matrix from a recipe.
+    """Build a vibrational state from a recipe.
 
     Supports Fock products, two-mode thermal products (truncated geometric
     weights, renormalized), coherent products, and pure superpositions of
-    Fock pairs.  The result carries its ensemble: the state vector for a
-    pure recipe, one Fock state per nonzero weight for a thermal one.  It
-    passes through the truncation guard.
+    Fock pairs.  A pure recipe gives its one state vector with weight 1, a
+    thermal one a Fock state per nonzero weight.  The result passes through
+    the truncation guard.
     """
     if spec.kind == "thermal":
         w = np.outer(
             thermal_weights(spec.nbar_c, config.dim_c),
             thermal_weights(spec.nbar_r, config.dim_r),
         ).reshape(config.dim_vib)
-        occupied = np.flatnonzero(w)  # one Fock member per nonzero weight
-        members = (w[occupied], np.eye(config.dim_vib, dtype=complex)[occupied])
-        rho = VibDensity(np.diag(w).astype(complex), config, members)
+        occupied = np.flatnonzero(w)
+        fock = np.zeros((occupied.size, config.dim_vib), complex)  # the occupied rows of the identity, without forming it
+        fock[np.arange(occupied.size), occupied] = 1.0
+        rho = VibDensity(w[occupied], fock, config)
     else:
-        psi = _pure_vector(spec, config)
-        rho = VibDensity(np.outer(psi, psi.conj()), config, (np.ones(1), psi[None, :]))
+        rho = VibDensity(np.ones(1), _pure_vector(spec, config)[None, :], config)
     truncation_guard(rho)
     return rho
 
@@ -451,17 +436,15 @@ def make_vib_state(spec: StateSpec, config: HilbertConfig) -> VibDensity:
 def make_vib_vector(spec: StateSpec, config: HilbertConfig) -> np.ndarray:
     """Pure vibrational state vector (length dim_vib) for a pure recipe.
 
-    The overall phase makes the dominant amplitude real and positive.  The
-    vector passes through the truncation guard; no density matrix is formed.
-    Thermal recipes are mixed and rejected; use make_vib_state for those.
+    The vector of make_vib_state's state, its overall phase chosen to make
+    the dominant amplitude real and positive.  Thermal recipes are mixed
+    and rejected; use make_vib_state for those.
     """
     if spec.kind == "thermal":
         raise ValueError("thermal states are mixed; no state vector exists")
-    psi = _pure_vector(spec, config)
-    pops = (psi * psi.conj()).real
-    grid = pops.reshape(config.dim_c, config.dim_r)
-    _guard_top_levels(grid.sum(axis=1), grid.sum(axis=0))
-    vec = psi * np.conj(psi[int(np.argmax(pops))])
+    rho = make_vib_state(spec, config)
+    psi = rho.vectors[0]
+    vec = psi * np.conj(psi[int(np.argmax(rho.populations()))])
     return vec / np.linalg.norm(vec)
 
 
@@ -492,12 +475,11 @@ def reduce_electronic(state: JointState) -> np.ndarray:
 
 
 def reduce_vibrational(state: JointState) -> VibDensity:
-    """Partial trace over the electronic factor -> two-mode density matrix.
+    """Partial trace over the electronic factor -> two-mode vibrational state.
 
     Its ensemble is the four electronic components, each with weight 1.
     """
-    t = state.amps.reshape(4, state.config.dim_vib)
-    return VibDensity(np.einsum("av,aw->vw", t, t.conj()), state.config, (np.ones(4), t.copy()))
+    return VibDensity(np.ones(4), state.amps.reshape(4, state.config.dim_vib).copy(), state.config)
 
 
 def _mode_populations(obj: JointState | VibDensity) -> tuple[np.ndarray, np.ndarray]:
@@ -514,12 +496,8 @@ def truncation_guard(obj: JointState | VibDensity, tol: float = GUARD_TOL) -> fl
     Returns the worst offending occupancy.  Grids with fewer than three
     levels on a mode are skipped: there is no headroom to certify there.
     """
-    return _guard_top_levels(*_mode_populations(obj), tol=tol)
-
-
-def _guard_top_levels(pc: np.ndarray, pr: np.ndarray, tol: float = GUARD_TOL) -> float:
     worst = 0.0
-    for name, p in (("c.m.", pc), ("stretch", pr)):
+    for name, p in zip(("c.m.", "stretch"), _mode_populations(obj)):
         if p.size < 3:
             continue
         top = float(p[-2:].sum())
@@ -529,6 +507,6 @@ def _guard_top_levels(pc: np.ndarray, pr: np.ndarray, tol: float = GUARD_TOL) ->
                 f"top-two Fock levels of the {name} mode hold population "
                 f"{top:.3g} (> {tol:g}); enlarge the truncation",
                 TruncationWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
     return worst

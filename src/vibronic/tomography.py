@@ -23,10 +23,10 @@ protocol_run runs a scan as one batch: one displaced_populations call for
 all points, one stacked product for their signals and one shot-draw loop.
 Each point's populations also give its exact Wigner value, and each point's
 record is then solved on its own.  displaced_populations never forms the
-joint unitary D_c (x) D_r: it displaces each member of the state's exact
-ensemble (VibDensity.ensemble()) one mode at a time, two small matrix
-products per point, while displace_vib keeps the dense product as the
-reference.
+joint unitary D_c (x) D_r: it displaces each vector of the state's exact
+ensemble (VibDensity.weights, VibDensity.vectors) one mode at a time, two
+small matrix products per point, while displace_vib keeps the dense
+product as the reference.
 
 Shot noise draws sample j of a record seeded with s from the substream
 SeedSequence((s, j)) through PCG64.  numpy's SeedSequence hash runs over
@@ -244,23 +244,24 @@ def design_matrix(freqs: np.ndarray, taus: np.ndarray) -> np.ndarray:
 def displace_vib(rho: VibDensity, alpha_c: complex, alpha_r: complex) -> VibDensity:
     """D_c^dag(alpha_c) D_r^dag(alpha_r) rho D_r(alpha_r) D_c(alpha_c), by the dense joint-space product.
 
+    Each vector v_k becomes U^dag v_k with U = D_c (x) D_r, a row times conj(U).
     The reference the ensemble contraction of displaced_populations is checked against.
     """
     u = np.kron(
         displacement(alpha_c, "c", rho.config),
         displacement(alpha_r, "r", rho.config),
     )
-    return VibDensity(u.conj().T @ rho.matrix @ u, rho.config)
+    return VibDensity(rho.weights, rho.vectors @ u.conj(), rho.config)
 
 
 def displaced_populations(rho: VibDensity, alpha_c, alpha_r) -> np.ndarray:
     """Fock populations of displace_vib(rho, alpha_c, alpha_r) as a real (dim_c, dim_r) grid.
 
-    With rho = sum_k w_k |v_k><v_k| (rho.ensemble(), r members) and
+    With rho = sum_k w_k |v_k><v_k| (rho.weights and the r rows of rho.vectors) and
     U = D_c(alpha_c) (x) D_r(alpha_r), the populations are
-    Pi = sum_k w_k |U^dag v_k|^2.  Member k as a (dim_c, dim_r) matrix Psi_k
+    Pi = sum_k w_k |U^dag v_k|^2.  Vector k as a (dim_c, dim_r) matrix Psi_k
     gives U^dag v_k = D_c^dag Psi_k conj(D_r); its conjugate
-    D_c^T conj(Psi_k) D_r is formed for all members by two matrix products
+    D_c^T conj(Psi_k) D_r is formed for all k by two matrix products
     per point, r dim_c dim_r (dim_c + dim_r) operations, and neither U nor
     any other dim_vib x dim_vib matrix is formed.
 
@@ -276,17 +277,16 @@ def displaced_populations(rho: VibDensity, alpha_c, alpha_r) -> np.ndarray:
         raise ValueError("alpha_c and alpha_r must be scalars or 1-d arrays of equal length")
     dc = displacement(alpha_c.reshape(-1), "c", cfg)
     dr = displacement(alpha_r.reshape(-1), "r", cfg)
-    weights, vectors = rho.ensemble()
-    r = weights.size
-    # conj(Psi_k) side by side, (dim_c, r dim_r): one product per point applies D_c^T to every member
-    members = vectors.conj().reshape(r, cfg.dim_c, cfg.dim_r).transpose(1, 0, 2).reshape(cfg.dim_c, r * cfg.dim_r)
+    r = rho.weights.size
+    # conj(Psi_k) side by side, (dim_c, r dim_r): one product per point applies D_c^T to every vector
+    conj_psi = rho.vectors.conj().reshape(r, cfg.dim_c, cfg.dim_r).transpose(1, 0, 2).reshape(cfg.dim_c, r * cfg.dim_r)
     chunk = max(1, cfg.dim_vib // r)
     # the output grid follows the D blocks, so rectangular blocks contract the same way
     pops = np.empty((dc.shape[0], dc.shape[-1], dr.shape[-1]))
     for start in range(0, dc.shape[0], chunk):
         d_c, d_r = dc[start:start + chunk], dr[start:start + chunk]
-        z = (d_c.transpose(0, 2, 1) @ members).reshape(len(d_c), -1, cfg.dim_r) @ d_r
-        pops[start:start + chunk] = weights @ (z.real**2 + z.imag**2).reshape(len(d_c), -1, r, d_r.shape[-1])
+        z = (d_c.transpose(0, 2, 1) @ conj_psi).reshape(len(d_c), -1, cfg.dim_r) @ d_r
+        pops[start:start + chunk] = rho.weights @ (z.real**2 + z.imag**2).reshape(len(d_c), -1, r, d_r.shape[-1])
     return pops.reshape(alpha_c.shape + pops.shape[1:])
 
 

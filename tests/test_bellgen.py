@@ -143,7 +143,7 @@ def test_pulses_leave_vibrational_state_unchanged(vib):
     p = drive()
     pc = CarrierParams(omega=0.03, varphi=carrier_phase_for(1, p), varphi0=0.8, modes=MODES)
     for state in (make_phi(1, p, CONFIG, vib=vib)[0], make_psi(1, p, pc, CONFIG, vib=vib)[0]):
-        rho = reduce_vibrational(state).matrix
+        rho = reduce_vibrational(state).matrix()
         want = np.zeros_like(rho)
         want[CONFIG.vib_index(*vib), CONFIG.vib_index(*vib)] = 1.0
         # trace distance to the input Fock projector

@@ -509,8 +509,8 @@ ONE_PER_RUN_PATH = {
 
 @pytest.mark.parametrize("name", sorted(ONE_PER_RUN_PATH))
 def test_no_mode_reaches_the_dense_oracle(tmp_path, monkeypatch, capsys, name):
-    # the dense builders, the generic integrator and the joint-space displacement serve the checks only;
-    # every state a run builds carries its ensemble, so none is decomposed by eigh;
+    # the dense builders, the generic integrator, the joint-space displacement and the dim_vib x dim_vib
+    # density matrix serve the checks only, so no mode forms a dim_vib^2 vibrational state;
     # exact evolve with two carrier tones has no engine and is refused at parse time
     import sys
 
@@ -525,12 +525,12 @@ def test_no_mode_reaches_the_dense_oracle(tmp_path, monkeypatch, capsys, name):
         "build_bichromatic_H", "propagate_timedep", "_expm_apply_dense", "build_effective_H", "build_carrier_H",
     )}
     dense["displace_vib"] = tomography.displace_vib
-    dense["_spectral_ensemble"] = fockspace._spectral_ensemble
     for module in [m for key, m in sys.modules.items() if key.startswith("vibronic")]:
         for attr, original in dense.items():
             if getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, forbidden)
     monkeypatch.setattr(dynamics.HermitianPropagator, "__init__", forbidden)
+    monkeypatch.setattr(fockspace.VibDensity, "matrix", forbidden)
     cfg = _write(tmp_path, ONE_PER_RUN_PATH[name])
     code = main(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
     if name == "evolve-exact-k0":

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from math import comb, factorial, inf, nan
 
@@ -11,6 +12,7 @@ from vibronic.fockspace import (
     ModeParams,
     StateSpec,
     TruncationWarning,
+    VibDensity,
     basis_state,
     coupling_f,
     coupling_f_grid,
@@ -296,7 +298,7 @@ def test_make_vib_state_fock_and_validity():
     pops = rho.populations()
     assert pops[2, 1] == 1.0
     assert pops.sum() == pytest.approx(1.0)
-    m = rho.matrix
+    m = rho.matrix()
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
     assert abs(np.trace(m) - 1.0) < 1e-9
     assert np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)) > -1e-10
@@ -308,7 +310,7 @@ def test_make_vib_state_thermal_product():
     pops = rho.populations()
     assert pops[0, 0] == pytest.approx((2 / 3) * (1 / 1.2), rel=1e-6)
     assert rho.trace() == pytest.approx(1.0, abs=1e-12)
-    m = rho.matrix
+    m = rho.matrix()
     assert np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)) > -1e-12
 
 
@@ -334,11 +336,36 @@ def test_make_vib_state_superposition():
     # coherence survives
     i00 = cfg.vib_index(0, 0)
     i20 = cfg.vib_index(2, 0)
-    assert abs(rho.matrix[i00, i20]) == pytest.approx(0.5, abs=1e-12)
+    assert abs(rho.matrix()[i00, i20]) == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(ValueError):
         make_vib_state(StateSpec.superposition([(0, 0, 0.0)]), cfg)
     with pytest.raises(ValueError):
         make_vib_state(StateSpec.superposition([(9, 0, 1.0)]), cfg)
+
+
+@pytest.mark.parametrize("weights", [[1.5, -0.5], [nan, 1.0]], ids=["negative", "nan"])
+def test_vib_density_rejects_weights_that_are_not_finite_and_nonnegative(weights):
+    # diag(1.5, -0.5) is not positive semidefinite: its Wigner origin would read twice the bound 4/pi^2
+    cfg = HilbertConfig(n_max_c=4, n_max_r=2)
+    with pytest.raises(ValueError, match="weights must be finite numbers >= 0"):
+        VibDensity(np.array(weights), np.eye(cfg.dim_vib, dtype=complex)[:2], cfg)
+
+
+def test_make_vib_state_memory_is_one_vector():
+    # a coherent state is one vector of dim_vib amplitudes, built from one displacement matrix per mode
+    # and the cached eigh basis of i(a^dag - a) (two dim x dim matrices per mode): O(dim_vib + dim_c^2 +
+    # dim_r^2) complex entries, and a factor 8 covers the temporaries of the displacement formula;
+    # a dim_vib x dim_vib density matrix alone would take 45 MB at this grid
+    cfg = HilbertConfig(n_max_c=40, n_max_r=40)
+    bound = 8 * np.dtype(complex).itemsize * (cfg.dim_vib + cfg.dim_c**2 + cfg.dim_r**2)
+    tracemalloc.start()
+    try:
+        rho = make_vib_state(StateSpec.coherent(0.8, 0.3), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.vectors.shape == (1, cfg.dim_vib)
+    assert peak < bound
 
 
 def test_fidelity_and_mismatch():
@@ -391,7 +418,7 @@ def test_make_vib_vector_matches_density():
     ):
         vec = make_vib_vector(spec, cfg)
         rho = make_vib_state(spec, cfg)
-        assert np.abs(np.outer(vec, vec.conj()) - rho.matrix).max() < 1e-12
+        assert np.abs(np.outer(vec, vec.conj()) - rho.matrix()).max() < 1e-12
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
 

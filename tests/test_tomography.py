@@ -41,7 +41,7 @@ from vibronic import (
     wigner_from_populations,
 )
 from vibronic.dynamics import HermitianPropagator
-from vibronic.fockspace import TruncationWarning, VibDensity, basis_state
+from vibronic.fockspace import TruncationWarning, VibDensity, basis_state, displacement
 
 MODES = ModeParams(eta=0.23)
 DRIVE = BichromaticParams.symmetric(k=1, delta=0.02, omega=0.05, modes=MODES)
@@ -102,7 +102,7 @@ def test_record_text_round_trip():
 def test_displace_zero_is_identity():
     rho = make_vib_state(StateSpec.thermal(0.3, 0.1), HilbertConfig(n_max_c=13, n_max_r=8))
     out = displace_vib(rho, 0.0, 0.0)
-    assert np.abs(out.matrix - rho.matrix).max() < 1e-14
+    assert np.abs(out.matrix() - rho.matrix()).max() < 1e-14
 
 
 def test_displaced_vacuum_is_poissonian():
@@ -116,16 +116,20 @@ def test_displaced_vacuum_is_poissonian():
 
 def test_displace_then_inverse_restores_input():
     rho = make_vib_state(StateSpec.superposition([(0, 0, 1.0), (2, 1, 1.0j)]), HilbertConfig(n_max_c=9, n_max_r=6))
-    out = displace_vib(displace_vib(rho, 0.6, -0.3j), -0.6, 0.3j)
-    assert np.abs(out.matrix - rho.matrix).max() < 1e-8
+    mid = displace_vib(rho, 0.6, -0.3j)
+    u = np.kron(displacement(0.6, "c", rho.config), displacement(-0.3j, "r", rho.config))
+    assert np.abs(mid.matrix() - u.conj().T @ rho.matrix() @ u).max() < 1e-12  # D^dag rho D, the order the docstring states
+    out = displace_vib(mid, -0.6, 0.3j)
+    assert np.abs(out.matrix() - rho.matrix()).max() < 1e-8
     assert abs(out.trace() - 1.0) < 1e-8
 
 
 def _random_density(config, seed):
+    """A full-rank random state: dim_vib random unit vectors with positive weights summing to 1."""
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(config.dim_vib, config.dim_vib)) + 1j * rng.normal(size=(config.dim_vib, config.dim_vib))
-    m = g @ g.conj().T
-    return VibDensity(m / np.trace(m).real, config)
+    weights = rng.uniform(0.1, 1.0, config.dim_vib)
+    return VibDensity(weights / weights.sum(), g / np.linalg.norm(g, axis=1, keepdims=True), config)
 
 
 def _bell_sequence_density(config):
@@ -137,7 +141,7 @@ def _bell_sequence_density(config):
 
 
 def _ensemble_states(config):
-    """One state of each constructor's ensemble, and one bare matrix that takes the eigh path."""
+    """One state of each constructor's ensemble, and one full-rank random ensemble."""
     top = (min(2, config.n_max_c), min(1, config.n_max_r))
     return {
         "fock": make_vib_state(StateSpec.fock(*top), config),
@@ -146,7 +150,7 @@ def _ensemble_states(config):
         "thermal, nbar_r = 0": make_vib_state(StateSpec.thermal(0.4, 0.0), config),
         "thermal, nbar_r > 0": make_vib_state(StateSpec.thermal(0.4, 0.2), config),
         "bell sequence": _bell_sequence_density(config),
-        "bare matrix": _random_density(config, config.n_max_c + config.n_max_r),
+        "random full rank": _random_density(config, config.n_max_c + config.n_max_r),
     }
 
 
@@ -154,29 +158,26 @@ def _ensemble_states(config):
 def test_displaced_populations_match_displace_vib(grid):
     config = HilbertConfig(*grid)
     # first-order rounding of a length-n inner product of unit-norm factors is n u = n eps / 2; the dense
-    # reference takes two products of length dim_vib, the contraction two of length <= dim_vib, and a bare
-    # matrix adds its eigh backward error, also O(dim_vib eps); populations are at most 1
+    # reference takes a product of length dim_vib per vector, the contraction two of length <= dim_vib,
+    # and the weighted sum over up to dim_vib vectors adds O(dim_vib eps); populations are at most 1
     tol = 4 * config.dim_vib * np.finfo(float).eps
     points = [(0.0, 0.0), (0.4 + 0.3j, -0.2 + 0.5j), (-0.7j, 0.3), (-0.5 - 0.1j, -0.4 - 0.4j), (1.1 - 0.6j, 0.8 + 0.9j)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # truncation and adiabaticity do not bear on the comparison
         states = _ensemble_states(config)
-        assert states["bare matrix"].members is None
         for name, rho in states.items():
-            weights, vectors = rho.ensemble()
-            assert np.abs((vectors.T * weights) @ vectors.conj() - rho.matrix).max() <= tol, name
             for ac, ar in points:
                 pops = displaced_populations(rho, ac, ar)
                 assert pops.shape == (config.dim_c, config.dim_r)
                 assert np.abs(pops - displace_vib(rho, ac, ar).populations()).max() <= tol, (name, ac, ar)
-    assert states["thermal, nbar_r = 0"].ensemble()[0].size == config.dim_c
-    assert states["thermal, nbar_r > 0"].ensemble()[0].size == config.dim_vib
-    assert states["bare matrix"].ensemble()[0].size == config.dim_vib
+    assert states["thermal, nbar_r = 0"].weights.size == config.dim_c
+    assert states["thermal, nbar_r > 0"].weights.size == config.dim_vib
+    assert states["random full rank"].weights.size == config.dim_vib
 
 
 @pytest.mark.parametrize("grid", [(9, 3), (0, 5), (6, 6)])
 def test_array_displaced_populations_equal_per_point_calls(grid):
-    # a full-rank matrix contracts one point at a time, a pure state all five at once,
+    # a full-rank ensemble contracts one point at a time, a pure state all five at once,
     # and thermal with nbar_r = 0 (dim_c members) in chunks of dim_r points
     config = HilbertConfig(*grid)
     rho = _random_density(config, 7)
@@ -593,11 +594,11 @@ def test_protocol_checks_tau_grid_before_displacing(taus, error, message, monkey
 
 @pytest.mark.parametrize("shots", [0, 300])
 def test_protocol_rejects_nan_state(shots):
-    config = HilbertConfig(n_max_c=12, n_max_r=4)
-    matrix = vacuum().matrix.copy()
-    matrix[3, 3] = np.nan
+    rho = vacuum()
+    vectors = rho.vectors.copy()
+    vectors[0, 3] = np.nan
     with pytest.raises(ValueError, match="p_dd values must be finite"):
-        protocol_run(VibDensity(matrix, config), LINE, default_tau_grid(DRIVE, 10, 2), DRIVE, shots=shots, n_fit_c=10, n_fit_r=2)
+        protocol_run(VibDensity(rho.weights, vectors, rho.config), LINE, default_tau_grid(DRIVE, 10, 2), DRIVE, shots=shots, n_fit_c=10, n_fit_r=2)
 
 
 def _scan_peak_bytes(rho):
@@ -624,7 +625,7 @@ def test_protocol_scan_memory_stays_per_point():
 def test_protocol_scan_memory_stays_per_chunk_with_many_members():
     # every Fock pair of this thermal state is a member, so each chunk is one point
     rho = make_vib_state(StateSpec.thermal(0.1, 0.005), HilbertConfig(n_max_c=20, n_max_r=4))
-    assert rho.ensemble()[0].size == 105
+    assert rho.weights.size == 105
     assert _scan_peak_bytes(rho) < 4e6
 
 
