@@ -42,7 +42,6 @@ from .dynamics import (
     CarrierParams,
     FactoredPropagator,
     HermitianPropagator,
-    RabiSpectrum,
     RotatingWaveWarning,
     build_bichromatic_H,
     build_carrier_H,

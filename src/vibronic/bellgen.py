@@ -45,6 +45,7 @@ from .dynamics import (
 from .fockspace import (
     HilbertConfig,
     JointState,
+    _caller_stacklevel,
     basis_state,
     coupling_f,
     fidelity,
@@ -182,7 +183,7 @@ def make_phi(
     pulse, theta = _dispersive_pulse(sign, p, vib)
     if engine == "exact":
         for msg in resonance_guard(p):
-            warnings.warn(msg, AdiabaticityWarning, stacklevel=2)
+            warnings.warn(msg, AdiabaticityWarning, stacklevel=_caller_stacklevel())
     seq = PulseSequence(pulses=(pulse,), prefactor_phase=theta)
     out = run_sequence(seq, config, basis_state(config, "dd", *vib), engine=engine)
     target = phi_target_for(sign, p).joint_state(config, *vib)
@@ -293,7 +294,7 @@ def thermal_bell_scan(
             raise ValueError("Omega^k vanishes at (0, 0); give t_pulse explicitly")
         t_pulse = math.pi / (4.0 * abs(w00))
 
-    wgrid = rabi_spectrum(p, dim_c - 1, dim_r - 1).values
+    wgrid = rabi_spectrum(p, dim_c - 1, dim_r - 1)
     a_dd = np.cos(np.abs(wgrid) * t_pulse)
     a_uu = -1j * np.sign(wgrid) * np.exp(2j * p.phi_eff) * np.sin(np.abs(wgrid) * t_pulse)
     tvec = phi_target_for(1, p).electronic_vector()

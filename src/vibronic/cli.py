@@ -54,6 +54,7 @@ from .fockspace import (
 )
 from .tomography import (
     SignalRecord,
+    condition_report,
     default_tau_grid,
     invert_populations,
     protocol_run,
@@ -445,13 +446,13 @@ def _tau_grid(config: RunConfig) -> np.ndarray:
 
 
 def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
-    spec = rabi_spectrum(config.drive, config.hilbert.n_max_c, config.hilbert.n_max_r)
+    rates = rabi_spectrum(config.drive, config.hilbert.n_max_c, config.hilbert.n_max_r)
     lines = _header(config) + ["n_c,n_r,omega_k"]
-    for n_c in range(spec.values.shape[0]):
-        for n_r in range(spec.values.shape[1]):
-            lines.append(f"{n_c},{n_r},{_fmt(spec.values[n_c, n_r])}")
+    for n_c in range(rates.shape[0]):
+        for n_r in range(rates.shape[1]):
+            lines.append(f"{n_c},{n_r},{_fmt(rates[n_c, n_r])}")
     _write(os.path.join(out_dir, "spectrum.csv"), lines)
-    return [f"spectrum: {spec.values.size} rates -> spectrum.csv"]
+    return [f"spectrum: {rates.size} rates -> spectrum.csv"]
 
 def _run_evolve(config: RunConfig, out_dir: str) -> list[str]:
     cfg = config.hilbert
@@ -533,9 +534,11 @@ def _load_record(config: RunConfig) -> SignalRecord:
 def _run_tomo_invert(config: RunConfig, out_dir: str) -> list[str]:
     record = _load_record(config)
     est = invert_populations(record, config.n_fit_c, config.n_fit_r, ridge=config.ridge)
+    # after the inversion, so that a degenerate design fails there first
+    report = condition_report(record.params, config.n_fit_c, config.n_fit_r, record.taus)
     lines = _header(config)
     lines.append(f"# residual_norm = {_fmt(est.residual_norm)}")
-    lines.append(f"# condition_number = {_fmt(est.condition_number)}")
+    lines.append(f"# condition_number = {_fmt(report.condition_number)}")
     lines.append("n_c,n_r,population")
     for n_c in range(est.pi.shape[0]):
         for n_r in range(est.pi.shape[1]):

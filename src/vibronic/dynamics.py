@@ -33,6 +33,8 @@ against the sideband couplings) the second-order effective Hamiltonian
 couples |dd> <-> |uu> and |du> <-> |ud| with vibrational-state-dependent
 rates Omega^k_{n_c,n_r}; both the effective generator and the resulting
 closed-form amplitudes are provided and are exact for either sign of delta.
+rabi_spectrum returns those signed rates over a Fock box as a plain array;
+whether they can be told apart is tomography.condition_report's question.
 
 Both static generators have the form kron(M4, diag a), with M4 a 4x4
 electronic matrix and a the per-level rates (effective_factors,
@@ -60,6 +62,7 @@ from .fockspace import (
     HilbertConfig,
     JointState,
     ModeParams,
+    _caller_stacklevel,
     coupling_f,
     coupling_f_grid,
     destroy,
@@ -119,7 +122,7 @@ class BichromaticParams:
                 f"detuning {worst:g} exceeds {_RW_FRACTION:g} nu; the "
                 "single-sideband rotating-wave form is getting inaccurate",
                 RotatingWaveWarning,
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
 
     @classmethod
@@ -194,47 +197,12 @@ def _number_bracket(n: int, k: int) -> float:
     return first - float(math.perm(n + k, k))
 
 
-def min_gaps(freqs: np.ndarray) -> tuple[float, float]:
-    """Smallest absolute and smallest relative spacing of the sorted values.
-
-    Adjacent sorted values are compared, so an exact tie gives 0 for both;
-    the relative spacing divides by the larger of the pair (by 1 where that
-    is 0).  Fewer than two values give (0, 0).
-    """
-    srt = np.sort(np.ravel(freqs))
-    if srt.size < 2:
-        return 0.0, 0.0
-    gaps = np.diff(srt)
-    ref = np.where(srt[1:] > 0, srt[1:], 1.0)
-    return float(gaps.min()), float((gaps / ref).min())
-
-
-@dataclass(frozen=True)
-class RabiSpectrum:
-    """Grid of dispersive rates Omega^k_{n_c, n_r} over a truncated Fock box."""
-
-    values: np.ndarray  # (n_max_c + 1, n_max_r + 1), signed reals
-    params: BichromaticParams
-
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    def min_relative_gap(self) -> float:
-        """Smallest relative spacing of the sorted |Omega^k| values (see min_gaps).
-
-        Drives how well populations can be told apart from a time signal:
-        near-degenerate rates make the inversion ill-conditioned, and two
-        cells with the same |Omega^k| count as a gap of 0.
-        """
-        return min_gaps(self.magnitudes())[1]
-
-
-def rabi_spectrum(p: BichromaticParams, n_max_c: int, n_max_r: int) -> RabiSpectrum:
+def rabi_spectrum(p: BichromaticParams, n_max_c: int, n_max_r: int) -> np.ndarray:
     """Dispersive rates Omega^k_{n_c, n_r} = scale f_k^2 [n_c!/(n_c-k)! - (n_c+k)!/n_c!] over the grid.
 
-    This is the one implementation of the rate formula; `rabi_effective`
-    reads a single cell of it.  Rejects asymmetric drives and rates that
-    overflow.
+    Returns the signed (n_max_c + 1, n_max_r + 1) array.  This is the one
+    implementation of the rate formula; `rabi_effective` reads a single
+    cell of it.  Rejects asymmetric drives and rates that overflow.
     """
     if not p.symmetric_drive:
         raise ValueError("effective rates assume k == k' and delta == delta'")
@@ -245,12 +213,12 @@ def rabi_spectrum(p: BichromaticParams, n_max_c: int, n_max_r: int) -> RabiSpect
         values = scale * f * f * bracket[:, None]
     if not np.all(np.isfinite(values)):
         raise ValueError(f"delta = {p.delta!r}: the dispersive rates overflow")
-    return RabiSpectrum(values=values, params=p)
+    return values
 
 
 def rabi_effective(n_c: int, n_r: int, p: BichromaticParams) -> float:
     """Vibrational-state-dependent dispersive rate Omega^k_{n_c, n_r} (signed): cell (n_c, n_r) of `rabi_spectrum`."""
-    return rabi_spectrum(p, n_c, n_r).values[n_c, n_r]
+    return rabi_spectrum(p, n_c, n_r)[n_c, n_r]
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +258,7 @@ def effective_factors(p: BichromaticParams, config: HilbertConfig) -> tuple[np.n
     Valid when |delta| dominates every sideband coupling in the truncated
     box; a marginal ratio triggers AdiabaticityWarning.
     """
-    avals = rabi_spectrum(p, config.n_max_c, config.n_max_r).values.ravel()
+    avals = rabi_spectrum(p, config.n_max_c, config.n_max_r).ravel()
     fgrid = coupling_f_grid(config.n_max_c, config.n_max_r, p.k, p.modes)
 
     couple = (p.modes.eta ** p.k) * abs(p.omega) * np.abs(fgrid)
@@ -300,7 +268,7 @@ def effective_factors(p: BichromaticParams, config: HilbertConfig) -> tuple[np.n
             f"|delta| = {abs(p.delta):.3g} is only {abs(p.delta) / worst:.2f}x the "
             "largest sideband coupling; dispersive elimination is marginal",
             AdiabaticityWarning,
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
 
     sgn = (-1.0) ** p.k

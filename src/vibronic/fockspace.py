@@ -17,6 +17,7 @@ Units: hbar = 1, frequencies in units of nu, times in 1/nu.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -60,6 +61,14 @@ GUARD_TOL = 1e-6
 
 class TruncationWarning(UserWarning):
     """A state carries non-negligible weight in the top Fock levels."""
+
+
+def _caller_stacklevel() -> int:
+    """The caller's warnings.warn stacklevel naming the first frame outside the package (dataclass methods are inside)."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == "vibronic":
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 # --------------------------------------------------------------------------
@@ -332,7 +341,7 @@ def displacement(alpha, mode: str, config: HilbertConfig) -> np.ndarray:
             f"displacement |alpha|^2 = {big**2:.3g} exceeds n_max/4 = "
             f"{n_max / 4.0:.3g} on mode {mode!r}; truncation artifacts likely",
             TruncationWarning,
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
     w, v, v_dag = _displacement_basis(dim)
     rot = np.exp(1j * np.angle(alpha)[..., None] * np.arange(dim))
@@ -507,6 +516,6 @@ def truncation_guard(obj: JointState | VibDensity, tol: float = GUARD_TOL) -> fl
                 f"top-two Fock levels of the {name} mode hold population "
                 f"{top:.3g} (> {tol:g}); enlarge the truncation",
                 TruncationWarning,
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
     return worst

@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import BichromaticParams, min_gaps, rabi_spectrum
+from .dynamics import BichromaticParams, rabi_spectrum
 from .fockspace import HilbertConfig, ModeParams, VibDensity, displacement
 
 WIGNER_BOUND = 4.0 / math.pi**2
@@ -180,7 +180,6 @@ class PopulationEstimate:
 
     pi: np.ndarray  # (n_fit_c + 1, n_fit_r + 1)
     residual_norm: float
-    condition_number: float
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
@@ -233,7 +232,7 @@ class ConditionReport:
 
 
 def _fit_frequencies(p: BichromaticParams, n_fit_c: int, n_fit_r: int) -> np.ndarray:
-    return rabi_spectrum(p, n_fit_c, n_fit_r).magnitudes().ravel()
+    return np.abs(rabi_spectrum(p, n_fit_c, n_fit_r)).ravel()
 
 
 def design_matrix(freqs: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -437,11 +436,11 @@ def invert_populations(
 
     Solves min ||A x - p_dd|| subject to x >= 0 (scipy's active-set NNLS),
     optionally with a ridge term sqrt(ridge)||x|| appended; reports the
-    unregularized residual and the condition number of the plain design.
+    unregularized residual (condition_report reports the design's conditioning).
     A solution summing above 1 is rescaled onto the probability simplex.
     """
     a = _fit_design(record.params, n_fit_c, n_fit_r, record.taus)
-    return _solve(a, float(np.linalg.cond(a)), _ridge_design(a, ridge), record.p_dd, (n_fit_c + 1, n_fit_r + 1))
+    return _solve(a, _ridge_design(a, ridge), record.p_dd, (n_fit_c + 1, n_fit_r + 1))
 
 
 def _fit_design(p: BichromaticParams, n_fit_c: int, n_fit_r: int, taus: np.ndarray) -> np.ndarray:
@@ -464,14 +463,14 @@ def _ridge_design(a: np.ndarray, ridge: float) -> np.ndarray:
     return np.vstack([a, math.sqrt(ridge) * np.eye(a.shape[1])]) if ridge > 0 else a
 
 
-def _solve(a: np.ndarray, cond: float, a_solve: np.ndarray, p_dd: np.ndarray, shape: tuple[int, int]) -> PopulationEstimate:
+def _solve(a: np.ndarray, a_solve: np.ndarray, p_dd: np.ndarray, shape: tuple[int, int]) -> PopulationEstimate:
     """NNLS of p_dd, zero-padded to the rows of ``a_solve`` (the ridge design of ``a``)."""
     x, _ = nnls(a_solve, np.concatenate([p_dd, np.zeros(a_solve.shape[0] - a.shape[0])]))
     total = x.sum()
     if total > 1.0:
         x = x / total
     residual = float(np.linalg.norm(a @ x - p_dd))
-    return PopulationEstimate(pi=x.reshape(shape), residual_norm=residual, condition_number=cond)
+    return PopulationEstimate(pi=x.reshape(shape), residual_norm=residual)
 
 
 def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
@@ -479,6 +478,21 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     from scipy.optimize import nnls as scipy_nnls
 
     return scipy_nnls(a, b)
+
+
+def min_gaps(freqs: np.ndarray) -> tuple[float, float]:
+    """Smallest absolute and smallest relative spacing of the sorted values.
+
+    Adjacent sorted values are compared, so an exact tie gives 0 for both;
+    the relative spacing divides by the larger of the pair (by 1 where that
+    is 0).  Fewer than two values give (0, 0).
+    """
+    srt = np.sort(np.ravel(freqs))
+    if srt.size < 2:
+        return 0.0, 0.0
+    gaps = np.diff(srt)
+    ref = np.where(srt[1:] > 0, srt[1:], 1.0)
+    return float(gaps.min()), float((gaps / ref).min())
 
 
 def _frequency_collisions(freqs: np.ndarray, shape: tuple[int, int]):
@@ -570,7 +584,6 @@ def protocol_run(
     _check_taus(taus)
     synth = design_matrix(_fit_frequencies(p, cfg.n_max_c, cfg.n_max_r), taus)
     fit = _fit_design(p, n_fit_c, n_fit_r, taus)
-    cond = float(np.linalg.cond(fit))
     fit_solve = _ridge_design(fit, ridge)
     alphas = list(alphas)
     _seed_column(seed)  # a bad seed raises before any point is displaced
@@ -581,7 +594,7 @@ def protocol_run(
     p_dd = _sample(probs, shots, _point_seeds(seed, len(alphas))[None, :] if shots > 0 else None)
     points = []
     for (ac, ar), exact, record in zip(alphas, pops, p_dd):
-        est = _solve(fit, cond, fit_solve, record, (n_fit_c + 1, n_fit_r + 1))
+        est = _solve(fit, fit_solve, record, (n_fit_c + 1, n_fit_r + 1))
         w = WignerPoint(ac, ar, wigner_from_populations(est))
         points.append(ProtocolPoint(wigner=w, estimate=est, w_exact=_parity_sum(exact)))
     return points

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vibronic import AdiabaticityWarning, __version__
+from vibronic import AdiabaticityWarning, SignalRecord, __version__, condition_report
 from vibronic.cli import ConfigError, main, parse_config
 
 SPECTRUM_CFG = """\
@@ -267,6 +267,32 @@ def test_synth_then_invert_roundtrip(tmp_path):
     # thermal nbar_c = 0.2: ground population (1/1.2) within the fit window
     assert pops[(0, 0)] == pytest.approx(1.0 / 1.2, abs=1e-3)
     assert pops[(1, 0)] == pytest.approx(0.2 / 1.2**2, abs=1e-3)
+
+
+def _refuse_cond(*args, **kwargs):
+    raise AssertionError("np.linalg.cond was called")
+
+
+def test_wigner_computes_no_condition_number(tmp_path, monkeypatch):
+    # a scan writes no condition number, so it runs no SVD for one
+    monkeypatch.setattr(np.linalg, "cond", _refuse_cond)
+    text = WIGNER_CFG.replace("[tomo]\n", "[tomo]\nshots = 300\n")
+    assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("source", ["synthesised", "signal_file"])
+def test_tomo_invert_header_is_the_condition_report(tmp_path, source):
+    assert main(["--config", _write(tmp_path, SYNTH_CFG, "synth.cfg"), "--out", str(tmp_path / "sig"), "--quiet"]) == 0
+    signal = tmp_path / "sig" / "signal.csv"
+    text = SYNTH_CFG.replace("mode = tomo-synth", "mode = tomo-invert")
+    if source == "signal_file":
+        text += f"signal_file = {signal}\n"
+    assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "pop"), "--quiet"]) == 0
+    # tomo-synth writes the record the same config synthesises, its samples round-tripped exactly
+    record = SignalRecord.from_text(signal.read_text())
+    (line,) = [l for l in (tmp_path / "pop" / "populations.csv").read_text().splitlines() if l.startswith("# condition_number = ")]
+    written = float(line.partition(" = ")[2])
+    assert written == condition_report(record.params, 4, 1, record.taus).condition_number
 
 
 # -- exit codes ------------------------------------------------------------

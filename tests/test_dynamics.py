@@ -18,6 +18,8 @@ from vibronic import (
     JointState,
     ModeParams,
     RotatingWaveWarning,
+    StateSpec,
+    TruncationWarning,
     basis_state,
     build_bichromatic_H,
     build_carrier_H,
@@ -28,14 +30,19 @@ from vibronic import (
     coupling_f,
     coupling_f_grid,
     effective_factors,
+    make_phi,
+    make_vib_state,
+    make_vib_vector,
     omega_k_scale,
     propagate_bichromatic,
     propagate_timedep,
     rabi_effective,
     rabi_spectrum,
     resonance_guard,
+    wigner_direct,
 )
 from vibronic.fockspace import destroy
+from vibronic.tomography import min_gaps
 
 
 def bell_dd_uu(config, sign, n_c=0, n_r=0):
@@ -114,7 +121,7 @@ def test_grids_equal_per_cell_formulas(eta, k):
         f_cells = np.array([coupling_f(n_c, n_r, k, modes) for n_c, n_r in cells]).reshape(shape)
         w_cells = np.array([rabi_effective(n_c, n_r, p) for n_c, n_r in cells]).reshape(shape)
         assert np.array_equal(coupling_f_grid(n_max_c, n_max_r, k, modes), f_cells)
-        assert np.array_equal(rabi_spectrum(p, n_max_c, n_max_r).values, w_cells)
+        assert np.array_equal(rabi_spectrum(p, n_max_c, n_max_r), w_cells)
         if n_max_c < 40:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", AdiabaticityWarning)
@@ -125,14 +132,12 @@ def test_grids_equal_per_cell_formulas(eta, k):
 
 def test_rabi_spectrum_k0_vanishes():
     p = BichromaticParams.symmetric(k=0, delta=0.05, omega=0.02, modes=ModeParams(eta=0.2))
-    spec = rabi_spectrum(p, 6, 3)
-    assert np.all(spec.values == 0.0)
+    assert np.all(rabi_spectrum(p, 6, 3) == 0.0)
 
 
 def test_rabi_spectrum_min_relative_gap_positive():
     p = BichromaticParams.symmetric(k=1, delta=0.02, omega=0.05, modes=ModeParams(eta=0.23))
-    spec = rabi_spectrum(p, 5, 2)
-    gap = spec.min_relative_gap()
+    gap = min_gaps(np.abs(rabi_spectrum(p, 5, 2)))[1]
     assert 0.0 < gap < 1.0
 
 
@@ -460,6 +465,30 @@ def test_drive_records_reject_non_finite_fields(record, fields, name, bad):
 def test_rotating_wave_warning():
     with pytest.warns(RotatingWaveWarning):
         BichromaticParams.symmetric(k=1, delta=0.3, omega=0.01, modes=ModeParams(eta=0.1))
+
+
+MARGINAL = dict(k=1, delta=0.004, omega=0.05, modes=ModeParams(eta=0.1))
+
+
+@pytest.mark.parametrize(
+    "category, call",
+    [
+        (RotatingWaveWarning, lambda: BichromaticParams.symmetric(k=1, delta=0.3, omega=0.01, modes=ModeParams(eta=0.1))),
+        (AdiabaticityWarning, lambda: make_phi(1, BichromaticParams.symmetric(**MARGINAL), HilbertConfig(4, 1))),
+        (AdiabaticityWarning, lambda: make_phi(1, BichromaticParams.symmetric(**MARGINAL), HilbertConfig(4, 1), engine="exact")),
+        (TruncationWarning, lambda: make_vib_state(StateSpec.coherent(0.9, 0.1), HilbertConfig(4, 2))),
+        (TruncationWarning, lambda: make_vib_vector(StateSpec.coherent(0.9, 0.1), HilbertConfig(4, 2))),
+        (TruncationWarning, lambda: wigner_direct(make_vib_state(StateSpec.fock(0, 0), HilbertConfig(4, 2)), 1.5, 0.0)),
+    ],
+    ids=["rotating-wave", "make_phi-effective", "make_phi-exact", "make_vib_state", "make_vib_vector", "wigner_direct"],
+)
+def test_warnings_name_the_callers_line(category, call):
+    # the package's own frames, dataclass __init__ included, are skipped
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    ours = [w for w in caught if w.category is category]
+    assert ours and all(w.filename == __file__ for w in ours)
 
 
 def test_resonance_guard_messages():

@@ -1,8 +1,9 @@
 """Declared dependencies and version match the package, scipy stays out of
-the cold start, and every exported or bench-traced name exists in the package."""
+the cold start, and every exported, bench-traced or bench-imported name exists in the package."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -163,4 +164,27 @@ def test_bench_traced_names_exist():
             owner = getattr(owner, cls, None)
         if owner is None or name not in vars(owner):
             missing.append(f"{module}.{attr}")
+    assert missing == []
+
+
+def _bench_imports() -> list[tuple[str, str, str]]:
+    """Every (file, module, name) of a ``from vibronic... import name`` in bench/, function bodies included."""
+    found = []
+    for path in sorted((ROOT / "bench").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.partition(".")[0] == "vibronic":
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+    return found
+
+
+def test_bench_imported_names_exist():
+    # bench/ imports most package names inside functions, so a missing one fails only a bench run
+    imports = _bench_imports()
+    assert ("run.py", "vibronic.tomography", "protocol_run") in imports
+    missing = []
+    for path, module, name in imports:
+        owner = importlib.import_module(module)
+        submodule = hasattr(owner, "__path__") and importlib.util.find_spec(f"{module}.{name}") is not None
+        if not (hasattr(owner, name) or submodule):
+            missing.append(f"{path}: {module}.{name}")
     assert missing == []
