@@ -87,8 +87,9 @@ class AcceptanceResult:
 # 1. closed forms
 
 
-def check_closed_forms(draws: int = 50, tol: float = 1e-10) -> AcceptanceResult:
+def check_closed_forms() -> AcceptanceResult:
     """Propagated amplitudes match the analytic two-level solutions."""
+    draws, tol = 50, 1e-10
     config = HilbertConfig(n_max_c=8, n_max_r=8)
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -137,8 +138,9 @@ def check_closed_forms(draws: int = 50, tol: float = 1e-10) -> AcceptanceResult:
 # 2. decoupling
 
 
-def check_decoupling(tol: float = 1e-12) -> AcceptanceResult:
+def check_decoupling() -> AcceptanceResult:
     """Single-excitation electronic states stay empty under the dispersive drive."""
+    tol = 1e-12
     config = HilbertConfig(n_max_c=6, n_max_r=4)
     rng = np.random.default_rng(202)
     with warnings.catch_warnings():
@@ -167,7 +169,8 @@ def check_decoupling(tol: float = 1e-12) -> AcceptanceResult:
 # 3. Bell generation, effective engine
 
 
-def check_bell_effective(tol: float = 1e-10) -> AcceptanceResult:
+def check_bell_effective() -> AcceptanceResult:
+    tol = 1e-10
     config = HilbertConfig(n_max_c=6, n_max_r=3)
     p = BichromaticParams.symmetric(
         k=1, delta=0.15, omega=0.04 * np.exp(0.3j), phi=0.5, phi0=0.9,
@@ -205,11 +208,11 @@ def check_bell_effective(tol: float = 1e-10) -> AcceptanceResult:
 # 4. full-Hamiltonian Bell fidelity against the dispersive leakage budget
 
 
-def check_bell_exact(budget_s: float = 60.0) -> AcceptanceResult:
+def check_bell_exact() -> AcceptanceResult:
     modes = ModeParams(eta=0.1)
     config = HilbertConfig(n_max_c=10, n_max_r=2)  # stretch quanta are exactly conserved
     omega = 0.03
-    rel_tol = 0.05
+    rel_tol, budget_s = 0.05, 60.0
     delta0 = 20.0 * modes.eta * omega
     g00 = modes.eta * omega * coupling_f(0, 0, 1, modes)
     start = time.perf_counter()
@@ -342,7 +345,8 @@ def _roundtrip_errors(shots: int, seed: int):
     return w_err, p_err
 
 
-def check_roundtrip_noiseless(tol: float = 1e-6) -> AcceptanceResult:
+def check_roundtrip_noiseless() -> AcceptanceResult:
+    tol = 1e-6
     w_err, p_err = _roundtrip_errors(shots=0, seed=0)
     w_max = float(np.max(np.abs(w_err)))
     passed = w_max < tol and p_err < tol
@@ -354,7 +358,8 @@ def check_roundtrip_noiseless(tol: float = 1e-6) -> AcceptanceResult:
     )
 
 
-def check_roundtrip_shot_noise(seed: int = 1) -> AcceptanceResult:
+def check_roundtrip_shot_noise() -> AcceptanceResult:
+    seed = 1
     w1, p1 = _roundtrip_errors(shots=10_000, seed=seed)
     w4, _ = _roundtrip_errors(shots=40_000, seed=seed)
     w_max = float(np.max(np.abs(w1)))

@@ -95,15 +95,20 @@ class BellTarget:
 
 @dataclass(frozen=True)
 class Pulse:
-    kind: str  # "dispersive" | "carrier"
+    """A drive held for ``duration``: BichromaticParams make it dispersive, CarrierParams a carrier pulse."""
+
     params: BichromaticParams | CarrierParams
     duration: float
 
     def __post_init__(self):
-        if self.kind not in ("dispersive", "carrier"):
-            raise ValueError(f"unknown pulse kind {self.kind!r}")
+        if not isinstance(self.params, (BichromaticParams, CarrierParams)):
+            raise TypeError(f"pulse params must be BichromaticParams or CarrierParams, not {type(self.params).__name__}")
         if not self.duration > 0:
             raise ValueError("pulse durations must be positive")
+
+    @property
+    def kind(self) -> str:
+        return "carrier" if isinstance(self.params, CarrierParams) else "dispersive"
 
 
 @dataclass(frozen=True)
@@ -131,17 +136,19 @@ def run_sequence(
     engine "effective" evolves dispersive pulses under the eliminated
     generator (exact within that model); "exact" propagates the full
     time-dependent two-beam drive in its rotating frame
-    (propagate_bichromatic, which needs a sideband tone).  Carrier pulses
-    are always exact.
+    (propagate_bichromatic, which needs a sideband tone) and warns when the
+    detuning is not comfortably dispersive.  Carrier pulses are always exact.
     """
     if engine not in ("effective", "exact"):
         raise ValueError(f"unknown engine {engine!r}")
     for pulse in seq.pulses:
-        if pulse.kind == "carrier":
+        if isinstance(pulse.params, CarrierParams):
             state = FactoredPropagator(*carrier_factors(pulse.params, config)).apply(state, pulse.duration)
         elif engine == "effective":
             state = FactoredPropagator(*effective_factors(pulse.params, config)).apply(state, pulse.duration)
         else:
+            for msg in resonance_guard(pulse.params):
+                warnings.warn(msg, AdiabaticityWarning, stacklevel=_caller_stacklevel())
             state = propagate_bichromatic(pulse.params, config, state, pulse.duration)
     return state
 
@@ -159,7 +166,7 @@ def _dispersive_pulse(sign: int, p: BichromaticParams, vib: tuple[int, int]) -> 
     quarter = math.pi / (4.0 * abs(w))
     duration = quarter if sign == 1 else 3.0 * quarter
     theta = -((-1.0) ** p.k) * w * duration
-    return Pulse(kind="dispersive", params=p, duration=duration), theta
+    return Pulse(params=p, duration=duration), theta
 
 
 def phi_target_for(sign: int, p: BichromaticParams) -> BellTarget:
@@ -177,13 +184,10 @@ def make_phi(
     """Prepare Phi(sign) from |dd; vib> with a single dispersive pulse.
 
     Returns the final state, its fidelity against the matching BellTarget,
-    and the executed sequence.  The exact engine warns when the detuning
-    is not comfortably dispersive.
+    and the executed sequence.  Both engines warn when the detuning is not
+    comfortably dispersive.
     """
     pulse, theta = _dispersive_pulse(sign, p, vib)
-    if engine == "exact":
-        for msg in resonance_guard(p):
-            warnings.warn(msg, AdiabaticityWarning, stacklevel=_caller_stacklevel())
     seq = PulseSequence(pulses=(pulse,), prefactor_phase=theta)
     out = run_sequence(seq, config, basis_state(config, "dd", *vib), engine=engine)
     target = phi_target_for(sign, p).joint_state(config, *vib)
@@ -249,7 +253,7 @@ def make_psi(
         raise ValueError(f"carrier Rabi frequency vanishes at (n_c, n_r) = {vib}")
     t0 = math.pi / (4.0 * abs(omega0))
     disp, theta = _dispersive_pulse(start_sign, pd, vib)
-    seq = PulseSequence(pulses=(disp, Pulse(kind="carrier", params=pc, duration=t0)), prefactor_phase=theta)
+    seq = PulseSequence(pulses=(disp, Pulse(params=pc, duration=t0)), prefactor_phase=theta)
     out = run_sequence(seq, config, basis_state(config, "dd", *vib), engine=engine)
     target = BellTarget(family="psi", sign=1, phi0=-pc.varphi0).joint_state(config, *vib)
     return out, fidelity(out, target), seq

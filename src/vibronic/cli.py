@@ -61,18 +61,6 @@ from .tomography import (
     synth_signal,
 )
 
-MODES = (
-    "spectrum",
-    "evolve",
-    "bell-phi",
-    "bell-psi",
-    "tomo-synth",
-    "tomo-invert",
-    "wigner",
-    "validate",
-)
-
-
 class ConfigError(Exception):
     """Malformed or out-of-range run configuration."""
 
@@ -230,18 +218,21 @@ class _Reader:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Each value a run uses, held once; ``echo`` lists every key read, resolved, in read order.
+
+    ``drive`` holds the [modes] values.  ``bell_sign`` is bell.sign for bell-phi and
+    bell.start_sign for bell-psi; ``engine`` is bell.engine or evolve.engine.  A
+    tomo-invert from ``signal_file`` has no state, shots or tau grid: the record sets them.
+    """
+
     mode: str
     seed: int
     hilbert: HilbertConfig | None = None
-    modes: ModeParams | None = None
     drive: BichromaticParams | None = None
     state: StateSpec | None = None
-    carrier_omega: float = 0.0
-    carrier_varphi: float | None = None  # None: derive from the drive
-    carrier_varphi0: float = 0.0
+    carrier: CarrierParams | None = None
     bell_sign: int = 1
-    bell_start_sign: int = 1
-    bell_engine: str = "effective"
+    engine: str = "effective"
     bell_vib: tuple[int, int] = (0, 0)
     shots: int = 0
     n_fit_c: int = 0
@@ -253,7 +244,6 @@ class RunConfig:
     alphas: tuple[tuple[complex, complex], ...] = ()
     evolve_t: float = 0.0
     evolve_samples: int = 0
-    evolve_engine: str = "exact"
     echo: tuple[tuple[str, str], ...] = ()
 
 
@@ -276,8 +266,9 @@ def parse_config(text: str, seed_override: int | None = None) -> RunConfig:
         reader.reject_unknown()
         return RunConfig(mode=mode, seed=int(seed), echo=tuple(reader.echo))
 
+    tomo = mode in ("tomo-synth", "tomo-invert", "wigner")
     # a fit grid n_fit >= 0 needs n_fit <= n_max - 2, the rule protocol_run enforces
-    n_max_lo = 2 if mode in ("tomo-synth", "tomo-invert", "wigner") else 1
+    n_max_lo = 2 if tomo else 1
     n_max_c = reader.number("hilbert.n_max_c", lo=n_max_lo, hi=40, integer=True, required=True)
     n_max_r = reader.number("hilbert.n_max_r", lo=n_max_lo, hi=40, integer=True, required=True)
     hilbert = HilbertConfig(n_max_c=n_max_c, n_max_r=n_max_r)
@@ -301,48 +292,52 @@ def parse_config(text: str, seed_override: int | None = None) -> RunConfig:
         omega=omega, phi=phi, phi0=phi0, modes=modes,
     )
 
+    # a record read from file brings its own samples, shot counts and drive
+    from_file = mode == "tomo-invert" and "tomo.signal_file" in reader.raw
     state = None
-    if mode in ("evolve", "tomo-synth", "tomo-invert", "wigner"):
-        state = _read_state(reader, hilbert, required=(mode != "tomo-invert" or "state.kind" in reader.raw))
-        if mode == "evolve" and state is not None and state.kind == "thermal":
+    if (mode == "evolve" or tomo) and not from_file:
+        state = _read_state(reader, hilbert, required=mode != "tomo-invert")
+        if mode == "evolve" and state.kind == "thermal":
             raise ConfigError("evolve mode needs a pure state; 'state.kind = thermal' is a mixture")
 
-    cfg = dict(mode=mode, seed=int(seed), hilbert=hilbert, modes=modes, drive=drive, state=state)
+    cfg = dict(mode=mode, seed=int(seed), hilbert=hilbert, drive=drive, state=state)
 
     if mode in ("bell-phi", "bell-psi"):
         if k == 0:
             raise ConfigError(f"{mode} needs drive.k > 0: the dispersive rate vanishes at k = 0")
-        cfg["bell_sign"] = reader.sign("bell.sign")
-        cfg["bell_start_sign"] = reader.sign("bell.start_sign")
-        cfg["bell_engine"] = reader.string("bell.engine", default="effective", choices={"effective", "exact"})
+        # both keys are read and echoed in both modes; each mode runs one of them
+        sign = reader.sign("bell.sign")
+        start_sign = reader.sign("bell.start_sign")
+        cfg["bell_sign"] = sign if mode == "bell-phi" else start_sign
+        cfg["engine"] = reader.string("bell.engine", default="effective", choices={"effective", "exact"})
         vib_c = reader.number("bell.n_c", default=0, lo=0, hi=n_max_c, integer=True)
         vib_r = reader.number("bell.n_r", default=0, lo=0, hi=n_max_r, integer=True)
         cfg["bell_vib"] = (vib_c, vib_r)
         # accepted, range-checked and echoed as 'threads' is, with no effect: no engine steps in time
         reader.number("bell.dt_max", default=0.05, lo=1e-9)
     if mode == "bell-psi":
-        cfg["carrier_omega"] = reader.number("carrier.omega", default=abs(omega), lo=0.0)
+        strength = reader.number("carrier.omega", default=abs(omega), lo=0.0)
         varphi = reader.number("carrier.varphi")
         if varphi is None:
-            varphi = carrier_phase_for(cfg["bell_start_sign"], drive)
+            varphi = carrier_phase_for(start_sign, drive)
             reader._note("carrier.varphi", varphi)  # echo the derived phase-matched value
-        cfg["carrier_varphi"] = varphi
-        cfg["carrier_varphi0"] = reader.number("carrier.varphi0", default=0.0)
+        cfg["carrier"] = CarrierParams(strength, varphi, reader.number("carrier.varphi0", default=0.0), modes)
 
-    if mode in ("tomo-synth", "tomo-invert", "wigner"):
-        cfg["shots"] = reader.number("tomo.shots", default=0, lo=0, integer=True)
+    if tomo:
+        if not from_file:
+            cfg["shots"] = reader.number("tomo.shots", default=0, lo=0, integer=True)
         cfg["n_fit_c"] = reader.number("tomo.n_fit_c", default=n_max_c - 2, lo=0, hi=n_max_c - 2, integer=True)
         cfg["n_fit_r"] = reader.number("tomo.n_fit_r", default=n_max_r - 2, lo=0, hi=n_max_r - 2, integer=True)
         cfg["ridge"] = reader.number("tomo.ridge", default=0.0, lo=0.0)
-        cfg["tau_count"] = reader.number("tomo.tau_count", default=0, lo=0, integer=True)
-        cfg["tau_max"] = reader.number("tomo.tau_max", default=0.0, lo=0.0)
+        if not from_file:
+            cfg["tau_count"] = reader.number("tomo.tau_count", default=0, lo=0, integer=True)
+            cfg["tau_max"] = reader.number("tomo.tau_max", default=0.0, lo=0.0)
     if mode == "tomo-invert":
         cfg["signal_file"] = reader.string("tomo.signal_file")
-        if cfg["signal_file"] is None and state is None:
+        if not from_file and state is None:
             raise ConfigError("tomo-invert needs either tomo.signal_file or a [state] section")
     # the default tau span is pi over the closest fit-frequency gap, which a single cell lacks
-    synthesises = mode in ("tomo-synth", "wigner") or (mode == "tomo-invert" and cfg["signal_file"] is None)
-    if synthesises and cfg["n_fit_c"] == cfg["n_fit_r"] == 0 and cfg["tau_max"] == 0:
+    if tomo and not from_file and cfg["n_fit_c"] == cfg["n_fit_r"] == 0 and cfg["tau_max"] == 0:
         raise ConfigError("a one-cell fit grid (tomo.n_fit_c = tomo.n_fit_r = 0) needs an explicit tomo.tau_max")
 
     if mode == "wigner":
@@ -351,8 +346,8 @@ def parse_config(text: str, seed_override: int | None = None) -> RunConfig:
     if mode == "evolve":
         cfg["evolve_t"] = reader.number("evolve.t", required=True)
         cfg["evolve_samples"] = reader.number("evolve.samples", default=50, lo=2, integer=True)
-        cfg["evolve_engine"] = reader.string("evolve.engine", default="exact", choices={"effective", "exact"})
-        if cfg["evolve_engine"] == "exact" and k + k_prime == 0:
+        cfg["engine"] = reader.string("evolve.engine", default="exact", choices={"effective", "exact"})
+        if cfg["engine"] == "exact" and k + k_prime == 0:
             raise ConfigError("exact evolve needs drive.k + drive.k_prime > 0: two carrier tones have no static frame")
         reader.number("evolve.dt_max", default=0.05, lo=1e-9)  # accepted and echoed, as the bell key is
 
@@ -462,7 +457,7 @@ def _run_evolve(config: RunConfig, out_dir: str) -> list[str]:
     psi0 = JointState(amps=amps, config=cfg)
     times = np.linspace(0.0, config.evolve_t, config.evolve_samples)
     rows = []
-    if config.evolve_engine == "effective":
+    if config.engine == "effective":
         prop = FactoredPropagator(*effective_factors(config.drive, cfg))
         states = [prop.apply(psi0, t) for t in times]
     else:
@@ -472,7 +467,7 @@ def _run_evolve(config: RunConfig, out_dir: str) -> list[str]:
         rows.append(f"{_fmt(t)}," + ",".join(_fmt(p) for p in pops))
     lines = _header(config) + ["t,p_dd,p_du,p_ud,p_uu"] + rows
     _write(os.path.join(out_dir, "evolve.csv"), lines)
-    return [f"evolve: {len(times)} samples ({config.evolve_engine} engine) -> evolve.csv"]
+    return [f"evolve: {len(times)} samples ({config.engine} engine) -> evolve.csv"]
 
 
 def _amplitude_rows(state: JointState) -> list[str]:
@@ -488,22 +483,12 @@ def _amplitude_rows(state: JointState) -> list[str]:
 
 
 def _run_bell(config: RunConfig, out_dir: str) -> list[str]:
+    vib, engine = config.bell_vib, config.engine
     if config.mode == "bell-phi":
-        state, fid, seq = make_phi(
-            config.bell_sign, config.drive, config.hilbert,
-            vib=config.bell_vib, engine=config.bell_engine,
-        )
-        name = "bell_phi.csv"
+        state, fid, seq = make_phi(config.bell_sign, config.drive, config.hilbert, vib=vib, engine=engine)
     else:
-        carrier = CarrierParams(
-            omega=config.carrier_omega, varphi=config.carrier_varphi,
-            varphi0=config.carrier_varphi0, modes=config.modes,
-        )
-        state, fid, seq = make_psi(
-            config.bell_start_sign, config.drive, carrier, config.hilbert,
-            vib=config.bell_vib, engine=config.bell_engine,
-        )
-        name = "bell_psi.csv"
+        state, fid, seq = make_psi(config.bell_sign, config.drive, config.carrier, config.hilbert, vib=vib, engine=engine)
+    name = config.mode.replace("-", "_") + ".csv"
     lines = _header(config)
     lines.append(f"# fidelity = {fid:.10f}")
     lines.append(f"# prefactor_phase = {_fmt(seq.prefactor_phase)}")
@@ -525,7 +510,10 @@ def _run_tomo_synth(config: RunConfig, out_dir: str) -> list[str]:
 def _load_record(config: RunConfig) -> SignalRecord:
     if config.signal_file is not None:
         with open(config.signal_file, "r", encoding="utf-8") as fh:
-            return SignalRecord.from_text(fh.read())
+            record = SignalRecord.from_text(fh.read())
+        if record.params != config.drive:
+            raise ValueError(f"the drive recorded in {config.signal_file} differs from [drive]/[modes]")
+        return record
     rho = make_vib_state(config.state, config.hilbert)
     taus = _tau_grid(config)
     return synth_signal(rho, taus, config.drive, shots=config.shots, seed=config.seed)
@@ -574,12 +562,8 @@ def _run_validate(config: RunConfig, out_dir: str) -> tuple[list[str], bool]:
     from .acceptance import run_all
 
     results = run_all()
-    lines = _header(config)
-    summaries = []
-    for res in results:
-        lines.append(res.report_line())
-        summaries.append(res.report_line())
-    _write(os.path.join(out_dir, "validate.txt"), lines)
+    summaries = [res.report_line() for res in results]
+    _write(os.path.join(out_dir, "validate.txt"), _header(config) + summaries)
     return summaries, all(r.passed for r in results)
 
 
@@ -588,23 +572,25 @@ def _run_validate(config: RunConfig, out_dir: str) -> tuple[list[str], bool]:
 # ---------------------------------------------------------------------------
 
 
+_RUNNERS = {
+    "spectrum": _run_spectrum,
+    "evolve": _run_evolve,
+    "bell-phi": _run_bell,
+    "bell-psi": _run_bell,
+    "tomo-synth": _run_tomo_synth,
+    "tomo-invert": _run_tomo_invert,
+    "wigner": _run_wigner,
+}
+MODES = (*_RUNNERS, "validate")
+
+
 def run(config: RunConfig, out_dir: str) -> tuple[list[str], int]:
     """Execute one mode; returns (summary lines, exit code)."""
     os.makedirs(out_dir, exist_ok=True)
-    if config.mode == "spectrum":
-        return _run_spectrum(config, out_dir), 0
-    if config.mode == "evolve":
-        return _run_evolve(config, out_dir), 0
-    if config.mode in ("bell-phi", "bell-psi"):
-        return _run_bell(config, out_dir), 0
-    if config.mode == "tomo-synth":
-        return _run_tomo_synth(config, out_dir), 0
-    if config.mode == "tomo-invert":
-        return _run_tomo_invert(config, out_dir), 0
-    if config.mode == "wigner":
-        return _run_wigner(config, out_dir), 0
-    summaries, ok = _run_validate(config, out_dir)
-    return summaries, 0 if ok else 3
+    if config.mode == "validate":
+        summaries, ok = _run_validate(config, out_dir)
+        return summaries, 0 if ok else 3
+    return _RUNNERS[config.mode](config, out_dir), 0
 
 
 def _integer(text: str) -> int:

@@ -69,11 +69,26 @@ def test_make_phi_exact_warns_on_marginal_detuning():
         make_phi(1, drive(delta=0.004, eta=0.1), HilbertConfig(n_max_c=4, n_max_r=1), engine="exact")
 
 
+def test_make_psi_exact_warns_on_marginal_detuning():
+    # make_psi runs the same dispersive pulse on the full drive, then a carrier pulse
+    p = drive(delta=0.004, eta=0.1)
+    pc = CarrierParams(omega=0.03, varphi=carrier_phase_for(1, p), varphi0=0.8, modes=p.modes)
+    with pytest.warns(AdiabaticityWarning, match="dispersive regime marginal"):
+        make_psi(1, p, pc, HilbertConfig(n_max_c=4, n_max_r=1), engine="exact")
+
+
 def test_pulse_rejects_nonpositive_duration():
     with pytest.raises(ValueError):
-        Pulse(kind="dispersive", params=drive(), duration=0.0)
-    with pytest.raises(ValueError):
-        Pulse(kind="squeeze", params=drive(), duration=1.0)
+        Pulse(params=drive(), duration=0.0)
+    # the params type is the pulse type, so params of any other type are refused
+    with pytest.raises(TypeError):
+        Pulse(params=MODES, duration=1.0)
+
+
+def test_pulse_kind_follows_its_params():
+    carrier = CarrierParams(omega=0.03, varphi=0.0, varphi0=0.0, modes=MODES)
+    assert Pulse(params=carrier, duration=1.0).kind == "carrier"
+    assert Pulse(params=drive(), duration=1.0).kind == "dispersive"
 
 
 def test_phase_alternative_reaches_opposite_sign():

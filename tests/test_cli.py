@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vibronic import AdiabaticityWarning, SignalRecord, __version__, condition_report
+from vibronic import AdiabaticityWarning, SignalRecord, __version__, condition_report, resonance_guard
 from vibronic.cli import ConfigError, main, parse_config
 
 SPECTRUM_CFG = """\
@@ -80,6 +80,13 @@ n_fit_r = 0
 [wigner]
 alpha_c_line = 0.0, 0.6, 5
 """
+
+
+def _file_invert_cfg(signal):
+    """SYNTH_CFG as an inversion of the record at ``signal``, which brings its own state, shots and taus."""
+    text = SYNTH_CFG.replace("mode = tomo-synth", "mode = tomo-invert")
+    text = text.replace("[state]\nkind = thermal\nnbar_c = 0.2\nnbar_r = 0.0\n", "").replace("shots = 2000\n", "")
+    return text + f"signal_file = {signal}\n"
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -284,15 +291,78 @@ def test_wigner_computes_no_condition_number(tmp_path, monkeypatch):
 def test_tomo_invert_header_is_the_condition_report(tmp_path, source):
     assert main(["--config", _write(tmp_path, SYNTH_CFG, "synth.cfg"), "--out", str(tmp_path / "sig"), "--quiet"]) == 0
     signal = tmp_path / "sig" / "signal.csv"
-    text = SYNTH_CFG.replace("mode = tomo-synth", "mode = tomo-invert")
-    if source == "signal_file":
-        text += f"signal_file = {signal}\n"
+    text = _file_invert_cfg(signal) if source == "signal_file" else SYNTH_CFG.replace("mode = tomo-synth", "mode = tomo-invert")
     assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "pop"), "--quiet"]) == 0
     # tomo-synth writes the record the same config synthesises, its samples round-tripped exactly
     record = SignalRecord.from_text(signal.read_text())
     (line,) = [l for l in (tmp_path / "pop" / "populations.csv").read_text().splitlines() if l.startswith("# condition_number = ")]
     written = float(line.partition(" = ")[2])
     assert written == condition_report(record.params, 4, 1, record.taus).condition_number
+
+
+def test_file_inversion_echoes_only_what_ran(tmp_path):
+    assert main(["--config", _write(tmp_path, SYNTH_CFG, "synth.cfg"), "--out", str(tmp_path / "sig"), "--quiet"]) == 0
+    text = _file_invert_cfg(tmp_path / "sig" / "signal.csv")
+    assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "pop"), "--quiet"]) == 0
+    keys = [l[2:].partition(" = ")[0] for l in (tmp_path / "pop" / "populations.csv").read_text().splitlines() if l.startswith("# ")]
+    # the record, not the config, sets the state, the shot counts and the tau grid
+    assert not [k for k in keys if k.startswith("state.") or k in ("tomo.shots", "tomo.tau_count", "tomo.tau_max")]
+    assert "tomo.signal_file" in keys and "drive.delta" in keys
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [("[state]\nkind = fock\n", "state.kind"), ("shots = 50\n", "tomo.shots"),
+     ("tau_count = 7\n", "tomo.tau_count"), ("tau_max = 100\n", "tomo.tau_max")],
+)
+def test_file_inversion_rejects_synthesis_keys(tmp_path, capsys, extra, key):
+    text = _file_invert_cfg(tmp_path / "signal.csv") + extra
+    line = text.count("\n")
+    assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: unknown key '{key}' (line {line})\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new", [("k = 1", "k = 2"), ("delta = 0.02", "delta = 0.03"), ("eta = 0.23", "eta = 0.2")], ids=["k", "delta", "eta"]
+)
+def test_record_of_another_drive_is_run_error(tmp_path, capsys, old, new):
+    assert main(["--config", _write(tmp_path, SYNTH_CFG, "synth.cfg"), "--out", str(tmp_path / "sig"), "--quiet"]) == 0
+    signal = tmp_path / "sig" / "signal.csv"
+    text = _file_invert_cfg(signal).replace(old, new)
+    assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "pop")]) == 3
+    assert capsys.readouterr().err == f"error: the drive recorded in {signal} differs from [drive]/[modes]\n"
+    assert not (tmp_path / "pop" / "populations.csv").exists()
+
+
+@pytest.mark.parametrize("mode, runs, idle", [("bell-phi", "sign", "start_sign"), ("bell-psi", "start_sign", "sign")])
+def test_bell_modes_run_one_sign_key(tmp_path, mode, runs, idle):
+    def lines(name, flipped):
+        signs = {"sign": "+", "start_sign": "+", **({flipped: "-"} if flipped else {})}
+        text = _small(mode, 1, "[bell]\n" + "".join(f"{key} = {value}\n" for key, value in signs.items()))
+        assert main(["--config", _write(tmp_path, text, f"{name}.cfg"), "--out", str(tmp_path / name), "--quiet"]) == 0
+        return (tmp_path / name / f"{mode.replace('-', '_')}.csv").read_text().splitlines()
+
+    base, idle_flip, run_flip = lines("base", None), lines("idle", idle), lines("run", runs)
+    # flipping the key the mode does not run changes only that key's echo line
+    assert [(a, b) for a, b in zip(base, idle_flip) if a != b] == [(f"# bell.{idle} = 1", f"# bell.{idle} = -1")]
+    assert len(base) == len(idle_flip)
+    # flipping the key it runs changes the prepared state
+    assert [l for l in base if not l.startswith("#")] != [l for l in run_flip if not l.startswith("#")]
+
+
+def test_marginal_drive_notes_go_to_stdout(tmp_path, capsys):
+    text = _small("bell-phi", 1, "[bell]\nengine = exact\n").replace("delta = 0.05", "delta = 0.004")
+    notes = [f"note: {msg}" for msg in resonance_guard(parse_config(text).drive)]
+    assert notes
+    cfg = _write(tmp_path, text)
+    with pytest.warns(AdiabaticityWarning):
+        assert main(["--config", cfg, "--out", str(tmp_path / "loud")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [l for l in out if l.startswith("note: ")] == notes and out[-len(notes):] == notes
+    with pytest.warns(AdiabaticityWarning):
+        assert main(["--config", cfg, "--out", str(tmp_path / "quiet"), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 # -- exit codes ------------------------------------------------------------
@@ -346,7 +416,7 @@ def test_non_finite_tuple_entry_is_config_error(tmp_path, capsys):
 
 
 def test_missing_signal_file_is_io_error(tmp_path, capsys):
-    cfg = SYNTH_CFG.replace("mode = tomo-synth", "mode = tomo-invert") + f"signal_file = {tmp_path / 'nope.csv'}\n"
+    cfg = _file_invert_cfg(tmp_path / "nope.csv")
     assert main(["--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 4
     assert capsys.readouterr().err.startswith("i/o error: [Errno 2]")
 
@@ -357,7 +427,7 @@ def test_signal_without_eta_header_is_run_error(tmp_path, capsys):
     lines = signal.read_text().splitlines()
     assert sum(line.startswith("# eta =") for line in lines) == 1
     signal.write_text("\n".join(line for line in lines if not line.startswith("# eta =")) + "\n")
-    invert_cfg = SYNTH_CFG.replace("mode = tomo-synth", "mode = tomo-invert") + f"signal_file = {signal}\n"
+    invert_cfg = _file_invert_cfg(signal)
     assert main(["--config", _write(tmp_path, invert_cfg, "inv.cfg"), "--out", str(tmp_path / "pop")]) == 3
     assert capsys.readouterr().err == "error: header is missing key 'eta'\n"
 
@@ -432,7 +502,7 @@ def test_non_finite_signal_sample_is_run_error(tmp_path, capsys, value):
     tau, _, shots = lines[-1].split(",")
     lines[-1] = f"{tau},{value},{shots}"
     signal.write_text("\n".join(lines) + "\n")
-    invert_cfg = SYNTH_CFG.replace("mode = tomo-synth", "mode = tomo-invert") + f"signal_file = {signal}\n"
+    invert_cfg = _file_invert_cfg(signal)
     assert main(["--config", _write(tmp_path, invert_cfg, "inv.cfg"), "--out", str(tmp_path / "pop")]) == 3
     assert capsys.readouterr().err == "error: p_dd values must be finite\n"
 

@@ -25,12 +25,14 @@ from vibronic import (
     build_carrier_H,
     build_effective_H,
     carrier_factors,
+    carrier_phase_for,
     closed_form_carrier,
     closed_form_dispersive,
     coupling_f,
     coupling_f_grid,
     effective_factors,
     make_phi,
+    make_psi,
     make_vib_state,
     make_vib_vector,
     omega_k_scale,
@@ -470,17 +472,25 @@ def test_rotating_wave_warning():
 MARGINAL = dict(k=1, delta=0.004, omega=0.05, modes=ModeParams(eta=0.1))
 
 
+def _marginal_psi(engine):
+    p = BichromaticParams.symmetric(**MARGINAL)
+    pc = CarrierParams(omega=0.03, varphi=carrier_phase_for(1, p), varphi0=0.0, modes=p.modes)
+    return make_psi(1, p, pc, HilbertConfig(4, 1), engine=engine)
+
+
 @pytest.mark.parametrize(
     "category, call",
     [
         (RotatingWaveWarning, lambda: BichromaticParams.symmetric(k=1, delta=0.3, omega=0.01, modes=ModeParams(eta=0.1))),
         (AdiabaticityWarning, lambda: make_phi(1, BichromaticParams.symmetric(**MARGINAL), HilbertConfig(4, 1))),
         (AdiabaticityWarning, lambda: make_phi(1, BichromaticParams.symmetric(**MARGINAL), HilbertConfig(4, 1), engine="exact")),
+        (AdiabaticityWarning, lambda: _marginal_psi("effective")),
+        (AdiabaticityWarning, lambda: _marginal_psi("exact")),
         (TruncationWarning, lambda: make_vib_state(StateSpec.coherent(0.9, 0.1), HilbertConfig(4, 2))),
         (TruncationWarning, lambda: make_vib_vector(StateSpec.coherent(0.9, 0.1), HilbertConfig(4, 2))),
         (TruncationWarning, lambda: wigner_direct(make_vib_state(StateSpec.fock(0, 0), HilbertConfig(4, 2)), 1.5, 0.0)),
     ],
-    ids=["rotating-wave", "make_phi-effective", "make_phi-exact", "make_vib_state", "make_vib_vector", "wigner_direct"],
+    ids=["rotating-wave", "make_phi-effective", "make_phi-exact", "make_psi-effective", "make_psi-exact", "make_vib_state", "make_vib_vector", "wigner_direct"],
 )
 def test_warnings_name_the_callers_line(category, call):
     # the package's own frames, dataclass __init__ included, are skipped

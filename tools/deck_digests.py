@@ -1,0 +1,66 @@
+"""SHA-256 of every output file of the benchmark's job decks.
+
+    python3 tools/deck_digests.py [CHECKOUT] > digests.txt
+
+Runs the check-4 job and every job of the bench decks of seeds 0-2
+(``tomography`` decks 0-5, the other two workloads' decks 0-2) in-process
+through ``vibronic.cli.main``, with the package imported from
+``CHECKOUT/src`` and the decks from ``CHECKOUT/bench`` (default: the
+checkout this file sits in).  It prints one ``sha256  job/file`` line per
+``--out`` file, and an ``exit N  job`` line for each job that does not exit
+0, so a ``diff`` of two checkouts' output shows every output byte that a
+change moved.  Outputs go to a temporary directory that is removed on exit.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, set before numpy is first imported, as bench/run.py does
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (0, 1, 2)
+DECKS = {"full-drive": 3, "static-generator": 3, "tomography": 6}
+
+
+def _jobs(workloads):
+    """(name, job) for the check-4 job and every deck job, in a fixed order."""
+    yield "check-4", workloads.canonical_job()
+    for workload, count in DECKS.items():
+        for seed in SEEDS:
+            for index in range(count):
+                for slot, job in enumerate(workloads.deck(workload, seed, index)):
+                    yield f"{workload}/s{seed}-d{index}-j{slot}-{job.mode}", job
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
+    sys.path[:0] = [str(root / "src"), str(root)]
+    import bench.workloads as workloads
+    from vibronic.cli import main as cli_main
+
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, job in _jobs(workloads):
+            job_dir = Path(tmp) / name
+            job_dir.mkdir(parents=True)
+            cfg = job_dir / "run.cfg"
+            cfg.write_text(job.text, encoding="utf-8")
+            out = job_dir / "out"
+            code = cli_main(["--config", str(cfg), "--out", str(out), "--quiet"])
+            if code != 0:
+                failed += 1
+                print(f"exit {code}  {name}")
+            for path in sorted(out.glob("*")) if out.is_dir() else ():
+                print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
