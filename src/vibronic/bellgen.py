@@ -25,27 +25,24 @@ scores the Phi(+) fidelity block by block over a two-mode thermal mixture.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import (
-    AdiabaticityWarning,
     BichromaticParams,
     CarrierParams,
     FactoredPropagator,
+    _warn_resonance,
     carrier_factors,
     effective_factors,
     propagate_bichromatic,
     rabi_effective,
     rabi_spectrum,
-    resonance_guard,
 )
 from .fockspace import (
     HilbertConfig,
     JointState,
-    _caller_stacklevel,
     basis_state,
     coupling_f,
     fidelity,
@@ -147,8 +144,7 @@ def run_sequence(
         elif engine == "effective":
             state = FactoredPropagator(*effective_factors(pulse.params, config)).apply(state, pulse.duration)
         else:
-            for msg in resonance_guard(pulse.params):
-                warnings.warn(msg, AdiabaticityWarning, stacklevel=_caller_stacklevel())
+            _warn_resonance(pulse.params)
             state = propagate_bichromatic(pulse.params, config, state, pulse.duration)
     return state
 

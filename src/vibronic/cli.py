@@ -14,9 +14,10 @@ One executable, eight modes selected by the config file:
 
 Configs are flat ``key = value`` lines under bracketed ``[section]``
 headers; '#' starts a comment.  Every parse problem names the offending
-key and line.  All outputs are CSV with '#'-prefixed headers that embed
-the package version and the fully resolved configuration, and contain no
-timestamps, so identical config + seed reproduces identical bytes.
+key and line.  A mode returns its files and ``run`` writes them after it
+finishes, each under one '#'-prefixed header: the package version and the
+fully resolved configuration.  No file holds a timestamp, so identical
+config + seed reproduces identical bytes, and a run that fails writes nothing.
 
 Exit codes: 0 success, 2 config error, 3 numerical/diagnostic failure,
 4 I/O error.
@@ -38,6 +39,7 @@ from .dynamics import (
     BichromaticParams,
     CarrierParams,
     FactoredPropagator,
+    _warn_resonance,
     effective_factors,
     propagate_bichromatic,
     rabi_spectrum,
@@ -440,34 +442,33 @@ def _tau_grid(config: RunConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _run_spectrum(config: RunConfig, out_dir: str) -> list[str]:
-    rates = rabi_spectrum(config.drive, config.hilbert.n_max_c, config.hilbert.n_max_r)
-    lines = _header(config) + ["n_c,n_r,omega_k"]
-    for n_c in range(rates.shape[0]):
-        for n_r in range(rates.shape[1]):
-            lines.append(f"{n_c},{n_r},{_fmt(rates[n_c, n_r])}")
-    _write(os.path.join(out_dir, "spectrum.csv"), lines)
-    return [f"spectrum: {rates.size} rates -> spectrum.csv"]
+_Files = dict[str, list[str]]  # file name -> body lines; run() puts the header in front
 
-def _run_evolve(config: RunConfig, out_dir: str) -> list[str]:
+
+def _run_spectrum(config: RunConfig) -> tuple[_Files, list[str], int]:
+    rates = rabi_spectrum(config.drive, config.hilbert.n_max_c, config.hilbert.n_max_r)
+    lines = ["n_c,n_r,omega_k"] + [f"{n_c},{n_r},{_fmt(w)}" for (n_c, n_r), w in np.ndenumerate(rates)]
+    return {"spectrum.csv": lines}, [f"spectrum: {rates.size} rates -> spectrum.csv"], 0
+
+
+def _run_evolve(config: RunConfig) -> tuple[_Files, list[str], int]:
     cfg = config.hilbert
     vib = make_vib_vector(config.state, cfg)
     amps = np.zeros(cfg.dim, dtype=complex)
     amps[: cfg.dim_vib] = vib  # electronic |dd> block comes first
     psi0 = JointState(amps=amps, config=cfg)
-    times = np.linspace(0.0, config.evolve_t, config.evolve_samples)
-    rows = []
+    times = _linspace(0.0, config.evolve_t, config.evolve_samples)
+    lines = ["t,p_dd,p_du,p_ud,p_uu"]
     if config.engine == "effective":
         prop = FactoredPropagator(*effective_factors(config.drive, cfg))
         states = [prop.apply(psi0, t) for t in times]
     else:
+        _warn_resonance(config.drive)
         states = [propagate_bichromatic(config.drive, cfg, psi0, t) for t in times]
     for t, st in zip(times, states):
         pops = np.sum(np.abs(st.tensor()) ** 2, axis=(1, 2))
-        rows.append(f"{_fmt(t)}," + ",".join(_fmt(p) for p in pops))
-    lines = _header(config) + ["t,p_dd,p_du,p_ud,p_uu"] + rows
-    _write(os.path.join(out_dir, "evolve.csv"), lines)
-    return [f"evolve: {len(times)} samples ({config.engine} engine) -> evolve.csv"]
+        lines.append(f"{_fmt(t)}," + ",".join(_fmt(p) for p in pops))
+    return {"evolve.csv": lines}, [f"evolve: {len(times)} samples ({config.engine} engine) -> evolve.csv"], 0
 
 
 def _amplitude_rows(state: JointState) -> list[str]:
@@ -482,29 +483,25 @@ def _amplitude_rows(state: JointState) -> list[str]:
     return rows
 
 
-def _run_bell(config: RunConfig, out_dir: str) -> list[str]:
+def _run_bell(config: RunConfig) -> tuple[_Files, list[str], int]:
     vib, engine = config.bell_vib, config.engine
     if config.mode == "bell-phi":
         state, fid, seq = make_phi(config.bell_sign, config.drive, config.hilbert, vib=vib, engine=engine)
     else:
         state, fid, seq = make_psi(config.bell_sign, config.drive, config.carrier, config.hilbert, vib=vib, engine=engine)
     name = config.mode.replace("-", "_") + ".csv"
-    lines = _header(config)
-    lines.append(f"# fidelity = {fid:.10f}")
-    lines.append(f"# prefactor_phase = {_fmt(seq.prefactor_phase)}")
+    lines = [f"# fidelity = {fid:.10f}", f"# prefactor_phase = {_fmt(seq.prefactor_phase)}"]
     for i, pulse in enumerate(seq.pulses):
         lines.append(f"# pulse_{i} = {pulse.kind} duration {_fmt(pulse.duration)}")
     lines.append("elec,n_c,n_r,re_amp,im_amp")
     lines += _amplitude_rows(state)
-    _write(os.path.join(out_dir, name), lines)
-    return [f"{config.mode}: fidelity {fid:.6f} -> {name}"]
+    return {name: lines}, [f"{config.mode}: fidelity {fid:.6f} -> {name}"], 0
 
 
-def _run_tomo_synth(config: RunConfig, out_dir: str) -> list[str]:
+def _run_tomo_synth(config: RunConfig) -> tuple[_Files, list[str], int]:
     record = _load_record(config)
-    lines = _header(config) + ["# signal record follows"] + record.to_text().splitlines()
-    _write(os.path.join(out_dir, "signal.csv"), lines)
-    return [f"tomo-synth: {record.taus.size} samples, shots={config.shots} -> signal.csv"]
+    lines = ["# signal record follows"] + record.to_text().splitlines()
+    return {"signal.csv": lines}, [f"tomo-synth: {record.taus.size} samples, shots={config.shots} -> signal.csv"], 0
 
 
 def _load_record(config: RunConfig) -> SignalRecord:
@@ -519,25 +516,18 @@ def _load_record(config: RunConfig) -> SignalRecord:
     return synth_signal(rho, taus, config.drive, shots=config.shots, seed=config.seed)
 
 
-def _run_tomo_invert(config: RunConfig, out_dir: str) -> list[str]:
+def _run_tomo_invert(config: RunConfig) -> tuple[_Files, list[str], int]:
     record = _load_record(config)
     est = invert_populations(record, config.n_fit_c, config.n_fit_r, ridge=config.ridge)
     # after the inversion, so that a degenerate design fails there first
     report = condition_report(record.params, config.n_fit_c, config.n_fit_r, record.taus)
-    lines = _header(config)
-    lines.append(f"# residual_norm = {_fmt(est.residual_norm)}")
-    lines.append(f"# condition_number = {_fmt(report.condition_number)}")
-    lines.append("n_c,n_r,population")
-    for n_c in range(est.pi.shape[0]):
-        for n_r in range(est.pi.shape[1]):
-            lines.append(f"{n_c},{n_r},{_fmt(est.pi[n_c, n_r])}")
-    _write(os.path.join(out_dir, "populations.csv"), lines)
-    return [
-        f"tomo-invert: {est.pi.size} populations, residual {est.residual_norm:.3e} -> populations.csv"
-    ]
+    lines = [f"# residual_norm = {_fmt(est.residual_norm)}", f"# condition_number = {_fmt(report.condition_number)}"]
+    lines += ["n_c,n_r,population"] + [f"{n_c},{n_r},{_fmt(p)}" for (n_c, n_r), p in np.ndenumerate(est.pi)]
+    summary = f"tomo-invert: {est.pi.size} populations, residual {est.residual_norm:.3e} -> populations.csv"
+    return {"populations.csv": lines}, [summary], 0
 
 
-def _run_wigner(config: RunConfig, out_dir: str) -> list[str]:
+def _run_wigner(config: RunConfig) -> tuple[_Files, list[str], int]:
     rho = make_vib_state(config.state, config.hilbert)
     taus = _tau_grid(config)
     points = protocol_run(
@@ -546,25 +536,22 @@ def _run_wigner(config: RunConfig, out_dir: str) -> list[str]:
         n_fit_c=config.n_fit_c, n_fit_r=config.n_fit_r,
         ridge=config.ridge,
     )
-    head = ["re_ac,im_ac,re_ar,im_ar,w"]
-    est_lines = _header(config) + head
-    oracle_lines = _header(config) + head
+    est_lines = ["re_ac,im_ac,re_ar,im_ar,w"]
+    oracle_lines = ["re_ac,im_ac,re_ar,im_ar,w"]
     for pt, (ac, ar) in zip(points, config.alphas):
         coords = f"{_fmt(ac.real)},{_fmt(ac.imag)},{_fmt(ar.real)},{_fmt(ar.imag)}"
         est_lines.append(f"{coords},{_fmt(pt.wigner.w)}")
         oracle_lines.append(f"{coords},{_fmt(pt.w_exact)}")
-    _write(os.path.join(out_dir, "wigner.csv"), est_lines)
-    _write(os.path.join(out_dir, "wigner_oracle.csv"), oracle_lines)
-    return [f"wigner: {len(points)} points -> wigner.csv (+ wigner_oracle.csv)"]
+    files = {"wigner.csv": est_lines, "wigner_oracle.csv": oracle_lines}
+    return files, [f"wigner: {len(points)} points -> wigner.csv (+ wigner_oracle.csv)"], 0
 
 
-def _run_validate(config: RunConfig, out_dir: str) -> tuple[list[str], bool]:
+def _run_validate(config: RunConfig) -> tuple[_Files, list[str], int]:
     from .acceptance import run_all
 
     results = run_all()
     summaries = [res.report_line() for res in results]
-    _write(os.path.join(out_dir, "validate.txt"), _header(config) + summaries)
-    return summaries, all(r.passed for r in results)
+    return {"validate.txt": summaries}, summaries, 0 if all(r.passed for r in results) else 3
 
 
 # ---------------------------------------------------------------------------
@@ -580,17 +567,19 @@ _RUNNERS = {
     "tomo-synth": _run_tomo_synth,
     "tomo-invert": _run_tomo_invert,
     "wigner": _run_wigner,
+    "validate": _run_validate,
 }
-MODES = (*_RUNNERS, "validate")
+MODES = tuple(_RUNNERS)
 
 
 def run(config: RunConfig, out_dir: str) -> tuple[list[str], int]:
-    """Execute one mode; returns (summary lines, exit code)."""
+    """Execute one mode, then write its files under the run's header; returns (summary lines, exit code)."""
+    files, summaries, code = _RUNNERS[config.mode](config)
     os.makedirs(out_dir, exist_ok=True)
-    if config.mode == "validate":
-        summaries, ok = _run_validate(config, out_dir)
-        return summaries, 0 if ok else 3
-    return _RUNNERS[config.mode](config, out_dir), 0
+    header = _header(config)
+    for name, body in files.items():
+        _write(os.path.join(out_dir, name), header + body)
+    return summaries, code
 
 
 def _integer(text: str) -> int:
@@ -648,7 +637,8 @@ def main(argv: list[str] | None = None) -> int:
     if not args.quiet:
         for line in summaries:
             print(line)
-        if config.drive is not None:
+        # an exact run has already raised these as warnings
+        if config.drive is not None and config.engine != "exact":
             for msg in resonance_guard(config.drive):
                 print(f"note: {msg}")
     return code

@@ -530,3 +530,9 @@ def resonance_guard(p: BichromaticParams) -> list[str]:
                     f"combination line m={m} (tolerance {tol:.3g})"
                 )
     return msgs
+
+
+def _warn_resonance(p: BichromaticParams) -> None:
+    """Raise each resonance_guard message as an AdiabaticityWarning naming the caller's line."""
+    for msg in resonance_guard(p):
+        warnings.warn(msg, AdiabaticityWarning, stacklevel=_caller_stacklevel())

@@ -332,7 +332,7 @@ def test_record_of_another_drive_is_run_error(tmp_path, capsys, old, new):
     text = _file_invert_cfg(signal).replace(old, new)
     assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "pop")]) == 3
     assert capsys.readouterr().err == f"error: the drive recorded in {signal} differs from [drive]/[modes]\n"
-    assert not (tmp_path / "pop" / "populations.csv").exists()
+    assert not (tmp_path / "pop").exists()
 
 
 @pytest.mark.parametrize("mode, runs, idle", [("bell-phi", "sign", "start_sign"), ("bell-psi", "start_sign", "sign")])
@@ -352,13 +352,20 @@ def test_bell_modes_run_one_sign_key(tmp_path, mode, runs, idle):
 
 
 def test_marginal_drive_notes_go_to_stdout(tmp_path, capsys):
+    # an exact run warns resonance_guard's messages and prints no note; an effective
+    # run warns its own box rule and prints the messages as notes, unless --quiet
     text = _small("bell-phi", 1, "[bell]\nengine = exact\n").replace("delta = 0.05", "delta = 0.004")
-    notes = [f"note: {msg}" for msg in resonance_guard(parse_config(text).drive)]
-    assert notes
-    cfg = _write(tmp_path, text)
+    msgs = resonance_guard(parse_config(text).drive)
+    assert msgs
+    with pytest.warns(AdiabaticityWarning) as caught:
+        assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "exact")]) == 0
+    assert [str(w.message) for w in caught] == msgs
+    assert "note: " not in capsys.readouterr().out
+    cfg = _write(tmp_path, text.replace("engine = exact", "engine = effective"), "effective.cfg")
     with pytest.warns(AdiabaticityWarning):
         assert main(["--config", cfg, "--out", str(tmp_path / "loud")]) == 0
     out = capsys.readouterr().out.splitlines()
+    notes = [f"note: {msg}" for msg in msgs]
     assert [l for l in out if l.startswith("note: ")] == notes and out[-len(notes):] == notes
     with pytest.warns(AdiabaticityWarning):
         assert main(["--config", cfg, "--out", str(tmp_path / "quiet"), "--quiet"]) == 0
@@ -419,6 +426,15 @@ def test_missing_signal_file_is_io_error(tmp_path, capsys):
     cfg = _file_invert_cfg(tmp_path / "nope.csv")
     assert main(["--config", _write(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 4
     assert capsys.readouterr().err.startswith("i/o error: [Errno 2]")
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_naming_a_file_is_io_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("keep me\n")
+    assert main(["--config", _write(tmp_path, SPECTRUM_CFG), "--out", str(target)]) == 4
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert target.read_text() == "keep me\n"
 
 
 def test_signal_without_eta_header_is_run_error(tmp_path, capsys):
@@ -529,6 +545,17 @@ def test_oversized_tau_grid_is_run_error(tmp_path, capsys, request, count):
     assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("count", ["1000000000000", "9223372036854775807", "10000000000000000000"])
+def test_oversized_evolve_samples_is_run_error(tmp_path, capsys, request, count):
+    if count == "1000000000000":
+        request.getfixturevalue("no_huge_linspace")
+    text = _small("evolve", 1, f"[state]\nkind = fock\n[evolve]\nt = 10\nsamples = {count}\n")
+    assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def _top_grid_cfg(mode, extra):
     return (
         f"mode = {mode}\n[hilbert]\nn_max_c = 40\nn_max_r = 40\n[modes]\neta = 0.05\n"
@@ -637,6 +664,33 @@ def test_no_mode_reaches_the_dense_oracle(tmp_path, monkeypatch, capsys, name):
         assert code == 0
 
 
+EVERY_MODE = {
+    "spectrum": (SPECTRUM_CFG, ["spectrum.csv"]),
+    "evolve": (ONE_PER_RUN_PATH["evolve-exact-k1"], ["evolve.csv"]),
+    "bell-phi": (BELL_PHI_CFG, ["bell_phi.csv"]),
+    "bell-psi": (ONE_PER_RUN_PATH["bell-psi-exact"], ["bell_psi.csv"]),
+    "tomo-synth": (SYNTH_CFG, ["signal.csv"]),
+    "tomo-invert": (ONE_PER_RUN_PATH["tomo-invert"], ["populations.csv"]),
+    "wigner": (WIGNER_CFG, ["wigner.csv", "wigner_oracle.csv"]),
+    "validate": ("mode = validate\nseed = 4\n", ["validate.txt"]),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(EVERY_MODE))
+def test_every_file_starts_with_version_and_echo(tmp_path, monkeypatch, mode):
+    import vibronic.acceptance as acceptance
+    from vibronic.cli import MODES
+
+    assert sorted(EVERY_MODE) == sorted(MODES)
+    monkeypatch.setattr(acceptance, "run_all", lambda: [acceptance.AcceptanceResult(1, "check 1", True, "detail")])
+    text, names = EVERY_MODE[mode]
+    assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    head = [f"# vibronic {__version__}"] + [f"# {key} = {value}" for key, value in parse_config(text).echo]
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "out" / name).read_text().splitlines()[: len(head)] == head
+
+
 def test_wigner_displaces_each_point_once(tmp_path, monkeypatch):
     # the whole scan is one displacement call per mode, and across those
     # calls every point's alpha appears exactly once, in point order
@@ -663,14 +717,19 @@ def test_wigner_displaces_each_point_once(tmp_path, monkeypatch):
         assert dict(calls) == {"c": [complex(ac) for ac, _ in alphas], "r": [complex(ar) for _, ar in alphas]}
 
 
-def test_effective_evolve_warns_on_marginal_detuning(tmp_path):
+@pytest.mark.parametrize("engine", ["effective", "exact"])
+def test_evolve_warns_on_marginal_detuning(tmp_path, engine):
+    # the effective engine warns its box rule, the exact one resonance_guard's messages; both name this line
     text = (
         "mode = evolve\n[hilbert]\nn_max_c = 4\nn_max_r = 1\n[modes]\neta = 0.1\n"
         "[drive]\nk = 1\ndelta = 0.004\nomega = 0.02\n[state]\nkind = fock\n"
-        "[evolve]\nt = 100\nsamples = 3\nengine = effective\n"
+        f"[evolve]\nt = 100\nsamples = 3\nengine = {engine}\n"
     )
-    with pytest.warns(AdiabaticityWarning):
+    with pytest.warns(AdiabaticityWarning) as caught:
         assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    if engine == "exact":
+        assert [str(w.message) for w in caught] == resonance_guard(parse_config(text).drive)
+    assert {w.filename for w in caught} == {__file__}
 
 
 def test_threads_is_accepted_and_has_no_effect(tmp_path):

@@ -7,9 +7,11 @@ Runs the check-4 job and every job of the bench decks of seeds 0-2
 through ``vibronic.cli.main``, with the package imported from
 ``CHECKOUT/src`` and the decks from ``CHECKOUT/bench`` (default: the
 checkout this file sits in).  It prints one ``sha256  job/file`` line per
-``--out`` file, and an ``exit N  job`` line for each job that does not exit
-0, so a ``diff`` of two checkouts' output shows every output byte that a
-change moved.  Outputs go to a temporary directory that is removed on exit.
+``--out`` file, an ``exit N  job`` line for each job that does not exit 0,
+and a ``warn Category  job: message`` line for each warning a job raises,
+so a ``diff`` of two checkouts' output shows every output byte and every
+warning that a change moved.  Outputs go to a temporary directory that is
+removed on exit.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import hashlib
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 SEEDS = (0, 1, 2)
@@ -53,12 +56,16 @@ def main(argv: list[str]) -> int:
             cfg = job_dir / "run.cfg"
             cfg.write_text(job.text, encoding="utf-8")
             out = job_dir / "out"
-            code = cli_main(["--config", str(cfg), "--out", str(out), "--quiet"])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli_main(["--config", str(cfg), "--out", str(out), "--quiet"])
             if code != 0:
                 failed += 1
                 print(f"exit {code}  {name}")
             for path in sorted(out.glob("*")) if out.is_dir() else ():
                 print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}")
+            for warning in caught:
+                print(f"warn {warning.category.__name__}  {name}: {warning.message}")
     return 1 if failed else 0
 
 
