@@ -7,14 +7,14 @@ names this function, so the file stays until that name is dropped there.
 Entries carry a "phase group" tag: at midpoint time t group 0 is multiplied
 by c(t) = e^{+i delta t} + e^{-i delta' t} and group 1 by its conjugate, and
 each step applies exp(-i H(t_mid) dt) through an adaptive Taylor series.
-It takes MAX_TAYLOR_TERMS from the dense oracle dynamics._expm_apply_dense.
+It imports nothing from the package, so it can be deleted as one file.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import MAX_TAYLOR_TERMS
+MAX_TAYLOR_TERMS = 40
 
 
 def propagate_coo(rows, cols, vals, groups, delta, delta_p, psi, dt, n_steps, m_sub, tol=1e-15):

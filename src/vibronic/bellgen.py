@@ -33,6 +33,7 @@ from .dynamics import (
     BichromaticParams,
     CarrierParams,
     FactoredPropagator,
+    _dispersive_amplitudes,
     _warn_resonance,
     carrier_factors,
     effective_factors,
@@ -133,18 +134,20 @@ def run_sequence(
     engine "effective" evolves dispersive pulses under the eliminated
     generator (exact within that model); "exact" propagates the full
     time-dependent two-beam drive in its rotating frame
-    (propagate_bichromatic, which needs a sideband tone) and warns when the
-    detuning is not comfortably dispersive.  Carrier pulses are always exact.
+    (propagate_bichromatic, which needs a sideband tone).  On either engine
+    each dispersive pulse warns resonance_guard's messages over the box.
+    Carrier pulses are always exact.
     """
     if engine not in ("effective", "exact"):
         raise ValueError(f"unknown engine {engine!r}")
     for pulse in seq.pulses:
         if isinstance(pulse.params, CarrierParams):
             state = FactoredPropagator(*carrier_factors(pulse.params, config)).apply(state, pulse.duration)
-        elif engine == "effective":
+            continue
+        _warn_resonance(pulse.params, config)
+        if engine == "effective":
             state = FactoredPropagator(*effective_factors(pulse.params, config)).apply(state, pulse.duration)
         else:
-            _warn_resonance(pulse.params)
             state = propagate_bichromatic(pulse.params, config, state, pulse.duration)
     return state
 
@@ -265,10 +268,10 @@ def thermal_bell_scan(
     """Phi(+) fidelity of the dispersive pulse applied to a thermal mixture.
 
     The input is rho_thermal(nbar_c) x rho_thermal(nbar_r) x |dd><dd| and
-    the pulse lasts t_pulse (default: the t+ of the (0, 0) block).  Each
-    Fock block evolves independently under the closed form, so the reduced
-    electronic state is a weighted mixture of pure block outcomes; its
-    overlap with the Phi(+) target is returned.  The Fock box is sized so
+    the pulse lasts t_pulse (default: the t+ pulse of the (0, 0) block).  Each
+    Fock block evolves independently under closed_form_dispersive's formula, so
+    the reduced electronic state is a weighted mixture of pure block outcomes;
+    its overlap with the Phi(+) target is returned.  The Fock box is sized so
     the neglected thermal tail is below 1e-9; an explicit n_max leaving
     more than 1e-6 outside the box is rejected.
     """
@@ -289,14 +292,9 @@ def thermal_bell_scan(
     dim_c, dim_r = dims
 
     if t_pulse is None:
-        w00 = rabi_effective(0, 0, p)
-        if w00 == 0.0:
-            raise ValueError("Omega^k vanishes at (0, 0); give t_pulse explicitly")
-        t_pulse = math.pi / (4.0 * abs(w00))
+        t_pulse = _dispersive_pulse(1, p, (0, 0))[0].duration
 
-    wgrid = rabi_spectrum(p, dim_c - 1, dim_r - 1)
-    a_dd = np.cos(np.abs(wgrid) * t_pulse)
-    a_uu = -1j * np.sign(wgrid) * np.exp(2j * p.phi_eff) * np.sin(np.abs(wgrid) * t_pulse)
+    a_dd, a_uu = _dispersive_amplitudes(rabi_spectrum(p, dim_c - 1, dim_r - 1), p, t_pulse)
     tvec = phi_target_for(1, p).electronic_vector()
     overlap2 = np.abs(np.conj(tvec[0]) * a_dd + np.conj(tvec[3]) * a_uu) ** 2
     weights = np.outer(thermal_weights(nbar_c, dim_c), thermal_weights(nbar_r, dim_r))

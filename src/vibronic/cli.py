@@ -223,8 +223,9 @@ class RunConfig:
     """Each value a run uses, held once; ``echo`` lists every key read, resolved, in read order.
 
     ``drive`` holds the [modes] values.  ``bell_sign`` is bell.sign for bell-phi and
-    bell.start_sign for bell-psi; ``engine`` is bell.engine or evolve.engine.  A
-    tomo-invert from ``signal_file`` has no state, shots or tau grid: the record sets them.
+    bell.start_sign for bell-psi; ``engine`` is bell.engine or evolve.engine, None in the
+    modes that run no engine.  A tomo-invert from ``signal_file`` has no state, shots or
+    tau grid: the record sets them.
     """
 
     mode: str
@@ -234,7 +235,7 @@ class RunConfig:
     state: StateSpec | None = None
     carrier: CarrierParams | None = None
     bell_sign: int = 1
-    engine: str = "effective"
+    engine: str | None = None
     bell_vib: tuple[int, int] = (0, 0)
     shots: int = 0
     n_fit_c: int = 0
@@ -459,11 +460,11 @@ def _run_evolve(config: RunConfig) -> tuple[_Files, list[str], int]:
     psi0 = JointState(amps=amps, config=cfg)
     times = _linspace(0.0, config.evolve_t, config.evolve_samples)
     lines = ["t,p_dd,p_du,p_ud,p_uu"]
+    _warn_resonance(config.drive, cfg)
     if config.engine == "effective":
         prop = FactoredPropagator(*effective_factors(config.drive, cfg))
         states = [prop.apply(psi0, t) for t in times]
     else:
-        _warn_resonance(config.drive)
         states = [propagate_bichromatic(config.drive, cfg, psi0, t) for t in times]
     for t, st in zip(times, states):
         pops = np.sum(np.abs(st.tensor()) ** 2, axis=(1, 2))
@@ -637,9 +638,9 @@ def main(argv: list[str] | None = None) -> int:
     if not args.quiet:
         for line in summaries:
             print(line)
-        # an exact run has already raised these as warnings
-        if config.drive is not None and config.engine != "exact":
-            for msg in resonance_guard(config.drive):
+        # a run with an engine has already raised these as warnings
+        if config.drive is not None and config.engine is None:
+            for msg in resonance_guard(config.drive, config.hilbert):
                 print(f"note: {msg}")
     return code
 

@@ -20,8 +20,10 @@ from vibronic import (
     phi_target_for,
     rabi_effective,
     reduce_vibrational,
+    resonance_guard,
     run_sequence,
     thermal_bell_scan,
+    thermal_weights,
 )
 
 MODES = ModeParams(eta=0.13)
@@ -59,8 +61,11 @@ def test_make_phi_refuses_vanishing_rate():
 
 
 def test_make_phi_effective_warns_on_marginal_detuning():
-    with pytest.warns(AdiabaticityWarning):
-        make_phi(1, drive(delta=0.004, eta=0.1), HilbertConfig(n_max_c=4, n_max_r=1), engine="effective")
+    # the effective engine warns resonance_guard's messages, as the exact one does
+    p, config = drive(delta=0.004, eta=0.1), HilbertConfig(n_max_c=4, n_max_r=1)
+    with pytest.warns(AdiabaticityWarning) as caught:
+        make_phi(1, p, config, engine="effective")
+    assert [str(w.message) for w in caught] == resonance_guard(p, config) != []
 
 
 def test_make_phi_exact_warns_on_marginal_detuning():
@@ -189,6 +194,23 @@ def test_bell_target_validation():
 def test_thermal_scan_matches_pure_case_at_zero_nbar():
     p = drive()
     assert thermal_bell_scan(0.0, 0.0, p) == pytest.approx(make_phi(1, p, CONFIG)[1], abs=1e-10)
+
+
+def test_thermal_scan_matches_the_engine_over_a_thermal_box():
+    # sum over an explicit box of the thermal weight times the effective engine's Phi(+) fidelity
+    # for the t+ pulse of (0, 0), started in |dd; n>
+    p = drive(delta=0.15, omega=0.05, eta=0.2)
+    nbar, n_max = (0.5, 0.2), (14, 10)
+    config = HilbertConfig(*n_max)
+    seq = make_phi(1, p, config)[2]
+    target = phi_target_for(1, p)
+    total = 0.0
+    weights = np.outer(thermal_weights(nbar[0], n_max[0] + 1), thermal_weights(nbar[1], n_max[1] + 1))
+    for (n_c, n_r), weight in np.ndenumerate(weights):
+        out = run_sequence(seq, config, basis_state(config, "dd", n_c, n_r))
+        total += weight * fidelity(out, target.joint_state(config, n_c, n_r))
+    assert thermal_bell_scan(*nbar, p, n_max=n_max) == pytest.approx(total, abs=1e-12)
+    assert total < 0.9999  # the rates spread over the box, so the thermal fidelity is not trivially 1
 
 
 def test_thermal_scan_lamb_dicke_robustness():

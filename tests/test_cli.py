@@ -1,11 +1,12 @@
 """Config parsing errors, mode outputs and determinism of the command line."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from vibronic import AdiabaticityWarning, SignalRecord, __version__, condition_report, resonance_guard
+from vibronic import AdiabaticityWarning, SignalRecord, __version__, condition_report, coupling_f, resonance_guard
 from vibronic.cli import ConfigError, main, parse_config
 
 SPECTRUM_CFG = """\
@@ -352,24 +353,38 @@ def test_bell_modes_run_one_sign_key(tmp_path, mode, runs, idle):
 
 
 def test_marginal_drive_notes_go_to_stdout(tmp_path, capsys):
-    # an exact run warns resonance_guard's messages and prints no note; an effective
-    # run warns its own box rule and prints the messages as notes, unless --quiet
+    # a run with an engine warns resonance_guard's messages once, on either engine, and prints
+    # no note; a mode without an engine prints them as the last stdout lines, unless --quiet
     text = _small("bell-phi", 1, "[bell]\nengine = exact\n").replace("delta = 0.05", "delta = 0.004")
-    msgs = resonance_guard(parse_config(text).drive)
+    config = parse_config(text)
+    msgs = resonance_guard(config.drive, config.hilbert)
     assert msgs
-    with pytest.warns(AdiabaticityWarning) as caught:
-        assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "exact")]) == 0
-    assert [str(w.message) for w in caught] == msgs
-    assert "note: " not in capsys.readouterr().out
-    cfg = _write(tmp_path, text.replace("engine = exact", "engine = effective"), "effective.cfg")
-    with pytest.warns(AdiabaticityWarning):
+    for engine in ("exact", "effective"):
+        cfg = _write(tmp_path, text.replace("engine = exact", f"engine = {engine}"), f"{engine}.cfg")
+        with pytest.warns(AdiabaticityWarning) as caught:
+            assert main(["--config", cfg, "--out", str(tmp_path / engine)]) == 0
+        assert [str(w.message) for w in caught] == msgs
+        assert "note: " not in capsys.readouterr().out
+    cfg = _write(tmp_path, text.replace("mode = bell-phi", "mode = spectrum").replace("[bell]\nengine = exact\n", ""), "spectrum.cfg")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["--config", cfg, "--out", str(tmp_path / "loud")]) == 0
-    out = capsys.readouterr().out.splitlines()
-    notes = [f"note: {msg}" for msg in msgs]
-    assert [l for l in out if l.startswith("note: ")] == notes and out[-len(notes):] == notes
-    with pytest.warns(AdiabaticityWarning):
+        out = capsys.readouterr().out.splitlines()
+        notes = [f"note: {msg}" for msg in msgs]
+        assert [l for l in out if l.startswith("note: ")] == notes and out[-len(notes):] == notes
         assert main(["--config", cfg, "--out", str(tmp_path / "quiet"), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_exact_evolve_runs_a_resonant_higher_sideband_drive(tmp_path, capsys):
+    # at delta = 0 a k = 2 drive has no dispersive rate, yet its engine runs it: the guard
+    # falls back to the coupling for the co-resonance tolerance instead of raising
+    text = _small("evolve", 2, "[state]\nkind = fock\n[evolve]\nt = 10\nsamples = 3\n")
+    text = text.replace("n_max_c = 4\nn_max_r = 2", "n_max_c = 6\nn_max_r = 1").replace("delta = 0.05", "delta = 0")
+    with pytest.warns(AdiabaticityWarning) as caught:
+        assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert [str(w.message).split(":")[0] for w in caught] == ["dispersive regime marginal"]
+    assert capsys.readouterr().err == ""
 
 
 # -- exit codes ------------------------------------------------------------
@@ -645,7 +660,7 @@ def test_no_mode_reaches_the_dense_oracle(tmp_path, monkeypatch, capsys, name):
         raise AssertionError("a run path reached the dense oracle")
 
     dense = {attr: getattr(dynamics, attr) for attr in (
-        "build_bichromatic_H", "propagate_timedep", "_expm_apply_dense", "build_effective_H", "build_carrier_H",
+        "build_bichromatic_H", "propagate_timedep", "build_effective_H", "build_carrier_H",
     )}
     dense["displace_vib"] = tomography.displace_vib
     for module in [m for key, m in sys.modules.items() if key.startswith("vibronic")]:
@@ -719,17 +734,24 @@ def test_wigner_displaces_each_point_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("engine", ["effective", "exact"])
 def test_evolve_warns_on_marginal_detuning(tmp_path, engine):
-    # the effective engine warns its box rule, the exact one resonance_guard's messages; both name this line
-    text = (
-        "mode = evolve\n[hilbert]\nn_max_c = 4\nn_max_r = 1\n[modes]\neta = 0.1\n"
-        "[drive]\nk = 1\ndelta = 0.004\nomega = 0.02\n[state]\nkind = fock\n"
-        f"[evolve]\nt = 100\nsamples = 3\nengine = {engine}\n"
-    )
-    with pytest.warns(AdiabaticityWarning) as caught:
-        assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    if engine == "exact":
-        assert [str(w.message) for w in caught] == resonance_guard(parse_config(text).drive)
-    assert {w.filename for w in caught} == {__file__}
+    # both engines warn exactly resonance_guard's messages over the box, naming this line: at
+    # |delta| < 10 g_00, and at |delta| = 20 g_00 with eta_r = 2, where |L_1(4)| = 3 lifts the
+    # box's largest coupling to 3 g_00, so only the box rule finds the drive marginal
+    for name, eta_r, delta in [("below-g00", "", 0.004), ("stretch-peak", "eta_r = 2\n", 0.0054)]:
+        text = (
+            f"mode = evolve\n[hilbert]\nn_max_c = 4\nn_max_r = 1\n[modes]\neta = 0.1\n{eta_r}"
+            f"[drive]\nk = 1\ndelta = {delta}\nomega = 0.02\n[state]\nkind = fock\n"
+            f"[evolve]\nt = 100\nsamples = 3\nengine = {engine}\n"
+        )
+        config = parse_config(text)
+        g00 = 0.1 * 0.02 * abs(coupling_f(0, 0, 1, config.drive.modes))
+        assert (delta > 10.0 * g00) == (name == "stretch-peak")
+        msgs = resonance_guard(config.drive, config.hilbert)
+        assert len(msgs) == 1 and msgs[0].startswith("dispersive regime marginal")
+        with pytest.warns(AdiabaticityWarning) as caught:
+            assert main(["--config", _write(tmp_path, text, f"{name}.cfg"), "--out", str(tmp_path / name), "--quiet"]) == 0
+        assert [str(w.message) for w in caught] == msgs
+        assert {w.filename for w in caught} == {__file__}
 
 
 def test_threads_is_accepted_and_has_no_effect(tmp_path):

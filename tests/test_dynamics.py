@@ -176,10 +176,14 @@ def test_effective_evolution_matches_closed_form():
 
 
 def test_effective_H_detuning_warning():
+    # the builder warns nothing at a marginal detuning: the premise is resonance_guard's, which the runs warn
     config = HilbertConfig(n_max_c=4, n_max_r=1)
     p = BichromaticParams.symmetric(k=1, delta=0.004, omega=0.02, modes=ModeParams(eta=0.1))
-    with pytest.warns(AdiabaticityWarning):
+    assert resonance_guard(p, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         build_effective_H(p, config)
+        effective_factors(p, config)
 
 
 def test_effective_H_rejects_asymmetric_drive():
@@ -503,19 +507,40 @@ def test_warnings_name_the_callers_line(category, call):
 
 def test_resonance_guard_messages():
     modes = ModeParams(eta=0.1)
+    box = HilbertConfig(n_max_c=4, n_max_r=1)
     clean = BichromaticParams.symmetric(k=1, delta=0.05, omega=0.001, modes=modes)
-    assert resonance_guard(clean) == []
+    assert resonance_guard(clean, box) == []
 
     marginal = BichromaticParams.symmetric(k=1, delta=0.002, omega=0.02, modes=modes)
-    msgs = resonance_guard(marginal)
+    msgs = resonance_guard(marginal, box)
     assert len(msgs) == 1 and "marginal" in msgs[0]
 
     # k = 2 with delta placed right on the m = 1 stretch combination line
     hit_delta = 2.0 - np.sqrt(3.0)
     with pytest.warns(RotatingWaveWarning):
         hot = BichromaticParams.symmetric(k=2, delta=hit_delta, omega=0.05, modes=ModeParams(eta=0.2))
-    msgs = resonance_guard(hot)
+    msgs = resonance_guard(hot, box)
     assert any("combination line" in m for m in msgs)
+
+    # with eta_r = 2 the stretch factor |L_1(4)| = 3 lifts the coupling at n_r = 1 to 3 g_00:
+    # |delta| = 20 g_00 clears a (0, 0) rule but is marginal in a box that holds n_r = 1
+    modes = ModeParams(eta=0.1, eta_r=2.0)
+    g00 = 0.1 * 0.02 * abs(coupling_f(0, 0, 1, modes))
+    p = BichromaticParams.symmetric(k=1, delta=20.0 * g00, omega=0.02, modes=modes)
+    assert resonance_guard(p, HilbertConfig(n_max_c=4, n_max_r=0)) == []
+    msgs = resonance_guard(p, HilbertConfig(n_max_c=4, n_max_r=1))
+    assert len(msgs) == 1 and msgs[0].startswith("dispersive regime marginal")
+
+
+@pytest.mark.parametrize("delta", [0.0, 5e-324])
+def test_resonance_guard_without_a_finite_rate(delta):
+    # a symmetric k = 2 drive at delta = 0, or at a delta whose rate overflows, has no
+    # dispersive rate: the co-resonance tolerance falls back to the coupling, and nothing raises
+    p = BichromaticParams.symmetric(k=2, delta=delta, omega=0.02, modes=ModeParams(eta=0.1))
+    with pytest.raises(ValueError):
+        rabi_effective(0, 0, p)
+    msgs = resonance_guard(p, HilbertConfig(n_max_c=6, n_max_r=1))
+    assert [m.split(":")[0] for m in msgs] == ["dispersive regime marginal"]
 
 
 def test_lamb_dicke_flattening_of_coupling():

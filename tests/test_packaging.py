@@ -84,6 +84,14 @@ def test_no_module_imports_the_retired_stepper():
         if "._kernels" in _load_time_imports(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert loaders == []
+    # and the stepper imports nothing from the package, so it can be deleted as one file
+    tree = ast.parse((ROOT / "src" / "vibronic" / "_kernels.py").read_text(encoding="utf-8"))
+    own = [
+        ast.unparse(node) for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "vibronic")
+        or isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "vibronic" for alias in node.names)
+    ]
+    assert own == []
 
 
 BELL_PHI_CFG = """\

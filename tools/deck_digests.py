@@ -8,10 +8,11 @@ through ``vibronic.cli.main``, with the package imported from
 ``CHECKOUT/src`` and the decks from ``CHECKOUT/bench`` (default: the
 checkout this file sits in).  It prints one ``sha256  job/file`` line per
 ``--out`` file, an ``exit N  job`` line for each job that does not exit 0,
-and a ``warn Category  job: message`` line for each warning a job raises,
-so a ``diff`` of two checkouts' output shows every output byte and every
-warning that a change moved.  Outputs go to a temporary directory that is
-removed on exit.
+and a ``warn Category  job: message`` line for each warning a job raises.
+It then runs the acceptance battery and prints its ten report lines, with
+check 4's wall-clock runtime masked, so a ``diff`` of two checkouts' output
+shows every output byte, every warning and every check digit that a change
+moved.  Outputs go to a temporary directory that is removed on exit.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import hashlib
+import re
 import sys
 import tempfile
 import warnings
@@ -46,6 +48,7 @@ def main(argv: list[str]) -> int:
     root = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     sys.path[:0] = [str(root / "src"), str(root)]
     import bench.workloads as workloads
+    from vibronic.acceptance import run_all
     from vibronic.cli import main as cli_main
 
     failed = 0
@@ -66,6 +69,9 @@ def main(argv: list[str]) -> int:
                 print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}/{path.name}")
             for warning in caught:
                 print(f"warn {warning.category.__name__}  {name}: {warning.message}")
+    for result in run_all():
+        print(re.sub(r"runtime [0-9.]+s", "runtime *s", result.report_line()))
+        failed += not result.passed
     return 1 if failed else 0
 
 
