@@ -65,7 +65,6 @@ from .bellgen import (
     carrier_phase_for,
     make_phi,
     make_psi,
-    phase_alternative_phi,
     phi_target_for,
     run_sequence,
     thermal_bell_scan,

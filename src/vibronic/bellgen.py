@@ -9,8 +9,10 @@ drives |dd; n_c, n_r> onto the Phi-type pair
     Phi(+/-) = (|dd> + /- i (-1)^k e^{2 i phi} |uu>) / sqrt(2),
 
 with phi the effective drive phase (common beam phase plus arg of the
-complex strength) and delta > 0 assumed; a negative detuning swaps which
-sign is reached at t+/t-.  A subsequent carrier pulse of duration
+complex strength).  The sign names the same state at either sign of delta:
+the rate Omega^k has the sign (-1)^{k+1} sgn(delta), so Phi(sign) takes t+
+when sign * delta > 0 and t- otherwise (at delta < 0, Phi(+) takes the
+three-quarter pulse).  A subsequent carrier pulse of duration
 t0 = pi / (4 |Omega_0|) converts either Phi state into the Psi-type pair
 
     Psi = (|ud> + e^{-i varphi0} |du>) / sqrt(2)   (partner: varphi0 + pi)
@@ -25,7 +27,7 @@ scores the Phi(+) fidelity block by block over a two-mode thermal mixture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +55,17 @@ from .fockspace import (
 _PHASE_TOL = 1e-9
 
 
+def _check_sign(sign: int) -> None:
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+
+
+def _phi_ratio(sign: int, k: int, phi: float) -> complex:
+    """The uu/dd amplitude ratio sign * i (-1)^k e^{2 i phi} of Phi(sign)."""
+    _check_sign(sign)
+    return sign * 1j * (-1.0) ** k * np.exp(2j * phi)
+
+
 @dataclass(frozen=True)
 class BellTarget:
     """One of the four Bell states, phases pinned by the generating pulses.
@@ -70,14 +83,13 @@ class BellTarget:
     def __post_init__(self):
         if self.family not in ("phi", "psi"):
             raise ValueError(f"family must be 'phi' or 'psi', got {self.family!r}")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+        _check_sign(self.sign)
 
     def electronic_vector(self) -> np.ndarray:
         v = np.zeros(4, dtype=complex)
         if self.family == "phi":
             v[0] = 1.0
-            v[3] = self.sign * 1j * (-1.0) ** self.k * np.exp(2j * self.phi)
+            v[3] = _phi_ratio(self.sign, self.k, self.phi)
         else:
             v[2] = 1.0
             v[1] = self.sign * np.exp(1j * self.phi0)
@@ -153,9 +165,8 @@ def run_sequence(
 
 
 def _dispersive_pulse(sign: int, p: BichromaticParams, vib: tuple[int, int]) -> tuple[Pulse, float]:
-    """The t+/t- pulse for the given start level, plus its prefactor phase."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    """The pulse from |dd; vib> to Phi(sign), t+ if sign * delta > 0 else t-, plus its prefactor phase."""
+    _check_sign(sign)
     n_c, n_r = vib
     w = rabi_effective(n_c, n_r, p)
     if w == 0.0:
@@ -163,7 +174,7 @@ def _dispersive_pulse(sign: int, p: BichromaticParams, vib: tuple[int, int]) -> 
             f"Omega^k vanishes at (n_c, n_r) = {vib} (k = {p.k}); the pulse time is infinite"
         )
     quarter = math.pi / (4.0 * abs(w))
-    duration = quarter if sign == 1 else 3.0 * quarter
+    duration = quarter if sign * p.delta > 0 else 3.0 * quarter
     theta = -((-1.0) ** p.k) * w * duration
     return Pulse(params=p, duration=duration), theta
 
@@ -193,35 +204,17 @@ def make_phi(
     return out, fidelity(out, target), seq
 
 
-def phase_alternative_phi(p: BichromaticParams, vib: tuple[int, int] = (0, 0)) -> PulseSequence:
-    """The same t+ pulse with the common phase advanced by pi/2.
-
-    Shifting phi by pi/2 flips e^{2 i phi} by -1, so this sequence prepares
-    the opposite-sign Phi state without touching the pulse duration.
-    """
-    shifted = replace(p, phi=p.phi + math.pi / 2.0)
-    pulse, theta = _dispersive_pulse(1, shifted, vib)
-    return PulseSequence(pulses=(pulse,), prefactor_phase=theta)
-
-
 def carrier_phase_for(start_sign: int, pd: BichromaticParams) -> float:
     """A carrier phase varphi satisfying the Psi-conversion condition.
 
     The carrier removes the dd and uu amplitudes of the incoming Phi state
     exactly when e^{2 i phi_c,eff} equals that state's uu/dd phase ratio
-    chi = start_sign * i (-1)^k sgn(delta) e^{2 i phi_d,eff}.  For a real
-    drive phased so that chi = +/-1 this reduces to varphi = 0 or pi/2
-    (mod pi).  Assumes the carrier strength is real positive; fold arg of a
-    complex strength into the returned angle yourself otherwise.
+    chi = start_sign * i (-1)^k e^{2 i phi_d,eff}, at either sign of delta.
+    For a real drive phased so that chi = +/-1 this reduces to varphi = 0
+    or pi/2 (mod pi).  Assumes the carrier strength is real positive; fold
+    arg of a complex strength into the returned angle yourself otherwise.
     """
-    chi = _phi_uu_phase(start_sign, pd)
-    return float(np.angle(chi) / 2.0)
-
-
-def _phi_uu_phase(start_sign: int, pd: BichromaticParams) -> complex:
-    if start_sign not in (1, -1):
-        raise ValueError("start_sign must be +1 or -1")
-    return start_sign * 1j * (-1.0) ** pd.k * math.copysign(1.0, pd.delta) * np.exp(2j * pd.phi_eff)
+    return float(np.angle(_phi_ratio(start_sign, pd.k, pd.phi_eff)) / 2.0)
 
 
 def make_psi(
@@ -240,7 +233,7 @@ def make_psi(
     partner follows from varphi0 -> varphi0 + pi.
     """
     n_c, n_r = vib
-    chi = _phi_uu_phase(start_sign, pd)
+    chi = _phi_ratio(start_sign, pd.k, pd.phi_eff)
     have = np.exp(2j * pc.phi_eff)
     if abs(have - chi) > _PHASE_TOL:
         raise ValueError(
@@ -262,21 +255,19 @@ def thermal_bell_scan(
     nbar_c: float,
     nbar_r: float,
     p: BichromaticParams,
-    t_pulse: float | None = None,
     n_max: tuple[int, int] | None = None,
 ) -> float:
-    """Phi(+) fidelity of the dispersive pulse applied to a thermal mixture.
+    """Phi(+) fidelity of make_phi's Phi(+) pulse applied to a thermal mixture.
 
     The input is rho_thermal(nbar_c) x rho_thermal(nbar_r) x |dd><dd| and
-    the pulse lasts t_pulse (default: the t+ pulse of the (0, 0) block).  Each
+    the pulse is the one that prepares Phi(+) from the (0, 0) block (t+ at
+    delta > 0, t- at delta < 0), so a cold ion scores 1 at either sign.  Each
     Fock block evolves independently under closed_form_dispersive's formula, so
     the reduced electronic state is a weighted mixture of pure block outcomes;
     its overlap with the Phi(+) target is returned.  The Fock box is sized so
     the neglected thermal tail is below 1e-9; an explicit n_max leaving
     more than 1e-6 outside the box is rejected.
     """
-    if t_pulse is not None and not t_pulse > 0:
-        raise ValueError("t_pulse must be positive")
     dims = []
     for nbar, given in zip((nbar_c, nbar_r), n_max or (None, None)):
         if not (math.isfinite(nbar) and nbar >= 0):
@@ -291,20 +282,18 @@ def thermal_bell_scan(
         dims.append(given + 1)
     dim_c, dim_r = dims
 
-    if t_pulse is None:
-        t_pulse = _dispersive_pulse(1, p, (0, 0))[0].duration
-
-    a_dd, a_uu = _dispersive_amplitudes(rabi_spectrum(p, dim_c - 1, dim_r - 1), p, t_pulse)
+    duration = _dispersive_pulse(1, p, (0, 0))[0].duration
+    a_dd, a_uu = _dispersive_amplitudes(rabi_spectrum(p, dim_c - 1, dim_r - 1), p, duration)
     tvec = phi_target_for(1, p).electronic_vector()
     overlap2 = np.abs(np.conj(tvec[0]) * a_dd + np.conj(tvec[3]) * a_uu) ** 2
     weights = np.outer(thermal_weights(nbar_c, dim_c), thermal_weights(nbar_r, dim_r))
     return float(np.sum(weights * overlap2))
 
 
-def _auto_box(nbar: float, tail: float = 1e-9, cap: int = 400) -> int:
-    """Smallest n with the thermal weight beyond it under ``tail``."""
+def _auto_box(nbar: float) -> int:
+    """Smallest n with the thermal weight beyond it under 1e-9, capped at 400."""
     if nbar == 0:
         return 2
     ratio = nbar / (1.0 + nbar)
-    n = max(2, int(math.ceil(math.log(tail) / math.log(ratio))) - 1)
-    return min(n, cap)
+    n = max(2, int(math.ceil(math.log(1e-9) / math.log(ratio))) - 1)
+    return min(n, 400)

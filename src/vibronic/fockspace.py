@@ -499,8 +499,8 @@ def _mode_populations(obj: JointState | VibDensity) -> tuple[np.ndarray, np.ndar
     return grid.sum(axis=1), grid.sum(axis=0)
 
 
-def truncation_guard(obj: JointState | VibDensity, tol: float = GUARD_TOL) -> float:
-    """Warn when the top two Fock levels of either mode carry weight > tol.
+def truncation_guard(obj: JointState | VibDensity) -> float:
+    """Warn when the top two Fock levels of either mode carry weight > GUARD_TOL.
 
     Returns the worst offending occupancy.  Grids with fewer than three
     levels on a mode are skipped: there is no headroom to certify there.
@@ -511,10 +511,10 @@ def truncation_guard(obj: JointState | VibDensity, tol: float = GUARD_TOL) -> fl
             continue
         top = float(p[-2:].sum())
         worst = max(worst, top)
-        if top > tol:
+        if top > GUARD_TOL:
             warnings.warn(
                 f"top-two Fock levels of the {name} mode hold population "
-                f"{top:.3g} (> {tol:g}); enlarge the truncation",
+                f"{top:.3g} (> {GUARD_TOL:g}); enlarge the truncation",
                 TruncationWarning,
                 stacklevel=_caller_stacklevel(),
             )

@@ -1,5 +1,7 @@
 """Tests for the Bell-state pulse protocols and thermal robustness scan."""
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from vibronic import (
     fidelity,
     make_phi,
     make_psi,
-    phase_alternative_phi,
     phi_target_for,
     rabi_effective,
     reduce_vibrational,
@@ -96,24 +97,62 @@ def test_pulse_kind_follows_its_params():
     assert Pulse(params=drive(), duration=1.0).kind == "dispersive"
 
 
-def test_phase_alternative_reaches_opposite_sign():
-    p = drive()
-    seq = phase_alternative_phi(p, vib=(1, 0))
-    out = run_sequence(seq, CONFIG, basis_state(CONFIG, "dd", 1, 0))
-    assert fidelity(out, phi_target_for(-1, p).joint_state(CONFIG, 1, 0)) == pytest.approx(1.0, abs=1e-10)
-    # same duration as the plain t+ pulse
-    _, _, plain = make_phi(1, p, CONFIG, vib=(1, 0))
-    assert seq.pulses[0].duration == pytest.approx(plain.pulses[0].duration, rel=1e-12)
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_make_phi_names_the_same_state_at_negative_detuning(k, sign):
+    # Omega^k has the sign (-1)^{k+1} sgn(delta), so at delta < 0 Phi(+) takes the t- pulse
+    p = drive(k=k, delta=-0.05)
+    _, fid, seq = make_phi(sign, p, CONFIG)
+    assert fid == pytest.approx(1.0, abs=1e-10)
+    w = abs(rabi_effective(0, 0, p))
+    want = 3 * np.pi / (4 * w) if sign == 1 else np.pi / (4 * w)
+    assert seq.pulses[0].duration == pytest.approx(want, rel=1e-12)
 
 
-def test_phase_alternative_twice_restores_original():
-    p = drive()
-    shifted_once = phase_alternative_phi(p).pulses[0].params
-    shifted_twice = phase_alternative_phi(shifted_once).pulses[0].params
-    # a full pi shift of phi leaves e^{2 i phi} unchanged
-    assert np.exp(2j * shifted_twice.phi_eff) == pytest.approx(np.exp(2j * p.phi_eff), abs=1e-12)
-    out = run_sequence(phase_alternative_phi(shifted_once), CONFIG, basis_state(CONFIG, "dd", 0, 0))
-    assert fidelity(out, phi_target_for(1, p).joint_state(CONFIG, 0, 0)) == pytest.approx(1.0, abs=1e-10)
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("delta", [0.05, -0.05])
+def test_thermal_scan_of_a_cold_ion_is_one_at_either_detuning(k, delta):
+    assert thermal_bell_scan(0.0, 0.0, drive(k=k, delta=delta)) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("start_sign", [1, -1])
+def test_make_psi_at_negative_detuning(k, start_sign):
+    p = drive(k=k, delta=-0.05)
+    pc = CarrierParams(omega=0.03, varphi=carrier_phase_for(start_sign, p), varphi0=0.8, modes=MODES)
+    assert make_psi(start_sign, p, pc, CONFIG)[1] == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("k, eta", [(1, 0.1), (2, 0.2)])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("vib", [(0, 0), (1, 1)])
+def test_exact_engine_negative_detuning_mirrors_the_opposite_sign(k, eta, sign, vib):
+    """1 - F(Phi(s); -delta) = 1 - F(Phi(-s); +delta) on the full drive, for the same pulse.
+
+    The drive matrices are real up to their phases, so the conjugate of the
+    drive at (delta, Omega, phi, phi0) is the drive at -delta with conjugated
+    phases (Omega*, -phi, -phi0), up to an overall sign of the coupling.
+    Conjugating the Schroedinger equation therefore maps the state prepared
+    from the real input |dd; vib> at +delta onto the state prepared at -delta
+    with conjugated phases; the coupling's sign is one more phase.
+    Conjugation also maps the target Phi(-s) onto Phi(s) of the conjugated
+    phases.  The fidelity does not depend on the phases (an electronic gauge
+    transformation removes them), so the two infidelities agree to rounding.
+    Both runs take the t- pulse of the same |Omega^k|.
+    """
+    config = HilbertConfig(n_max_c=8, n_max_r=2)
+
+    def infidelity(s, delta):
+        p = BichromaticParams.symmetric(
+            k=k, delta=delta, omega=0.03 * cmath.exp(0.7j), phi=0.4, phi0=1.3, modes=ModeParams(eta=eta)
+        )
+        _, fid, seq = make_phi(s, p, config, vib=vib, engine="exact")
+        return 1.0 - fid, seq.pulses[0].duration
+
+    (mirror, t_mirror), (direct, t_direct) = infidelity(sign, -0.15), infidelity(-sign, 0.15)
+    assert t_mirror == t_direct
+    assert direct > 1e-5  # the full drive leaks, so the identity is not 0 = 0
+    assert mirror == pytest.approx(direct, abs=1e-12)
 
 
 @pytest.mark.parametrize("start_sign", [1, -1])
@@ -189,6 +228,10 @@ def test_bell_target_validation():
         BellTarget(family="chi", sign=1)
     with pytest.raises(ValueError):
         BellTarget(family="phi", sign=0)
+    # one sign check serves the target, the pulse and the carrier phase
+    for call in (lambda: BellTarget("phi", 2), lambda: make_phi(0, drive(), CONFIG), lambda: carrier_phase_for(0, drive())):
+        with pytest.raises(ValueError, match="sign must be"):
+            call()
 
 
 def test_thermal_scan_matches_pure_case_at_zero_nbar():

@@ -418,6 +418,29 @@ def test_bell_at_k0_is_config_error(tmp_path, capsys, mode, engine):
     assert not out.exists()
 
 
+def _signed_bell_fidelity(tmp_path, mode, delta, sign, engine):
+    key = "sign" if mode == "bell-phi" else "start_sign"
+    text = (
+        f"mode = {mode}\n[hilbert]\nn_max_c = 6\nn_max_r = 2\n[modes]\neta = 0.1\n"
+        f"[drive]\nk = 1\ndelta = {delta}\nomega = 0.05\n[bell]\n{key} = {sign}\nengine = {engine}\n"
+    )
+    name = f"{mode}-{delta}-{sign}-{engine}"
+    assert main(["--config", _write(tmp_path, text, f"{name}.cfg"), "--out", str(tmp_path / name), "--quiet"]) == 0
+    lines = (tmp_path / name / f"{mode.replace('-', '_')}.csv").read_text().splitlines()
+    return next(line for line in lines if line.startswith("# fidelity = "))
+
+
+@pytest.mark.parametrize("sign, opposite", [("+", "-"), ("-", "+")])
+def test_bell_at_negative_detuning_prepares_the_named_state(tmp_path, sign, opposite):
+    # the sign names the same Phi state at either sign of delta
+    assert _signed_bell_fidelity(tmp_path, "bell-phi", -0.15, sign, "effective") == "# fidelity = 1.0000000000"
+    assert _signed_bell_fidelity(tmp_path, "bell-psi", -0.15, sign, "effective") == "# fidelity = 1.0000000000"
+    # on the full drive, -delta mirrors the opposite sign at +delta (complex conjugation of the drive)
+    mirror = _signed_bell_fidelity(tmp_path, "bell-phi", -0.15, sign, "exact")
+    assert mirror == _signed_bell_fidelity(tmp_path, "bell-phi", 0.15, opposite, "exact")
+    assert float(mirror.split("=")[1]) > 0.98
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_number_is_config_error(tmp_path, capsys, value):
     bad = _write(tmp_path, SPECTRUM_CFG.replace("delta = 0.02", f"delta = {value}"))
