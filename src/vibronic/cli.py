@@ -308,6 +308,8 @@ def parse_config(text: str, seed_override: int | None = None) -> RunConfig:
     if mode in ("bell-phi", "bell-psi"):
         if k == 0:
             raise ConfigError(f"{mode} needs drive.k > 0: the dispersive rate vanishes at k = 0")
+        if omega == 0:
+            raise ConfigError(f"{mode} needs drive.omega != 0: the dispersive rate vanishes at zero drive strength")
         # both keys are read and echoed in both modes; each mode runs one of them
         sign = reader.sign("bell.sign")
         start_sign = reader.sign("bell.start_sign")
@@ -320,6 +322,8 @@ def parse_config(text: str, seed_override: int | None = None) -> RunConfig:
         reader.number("bell.dt_max", default=0.05, lo=1e-9)
     if mode == "bell-psi":
         strength = reader.number("carrier.omega", default=abs(omega), lo=0.0)
+        if strength == 0:
+            raise ConfigError("bell-psi needs carrier.omega > 0: the carrier pulse time is infinite at zero strength")
         varphi = reader.number("carrier.varphi")
         if varphi is None:
             varphi = carrier_phase_for(start_sign, drive)

@@ -20,9 +20,10 @@ Two laser configurations are covered:
   eps N_e + theta N_c, and its generator splits into sector blocks
   s(n_r) (B + B^dag) - G cut from the c.m. matrices.  Two carrier tones
   (k = k' = 0) have no static frame in general, and propagate_bichromatic
-  rejects them.  No run path forms a joint-space matrix;
-  build_bichromatic_H with propagate_timedep, a dense midpoint integrator
-  of any H(t) stepping with scipy's expm, is the independent oracle.
+  rejects them.  No run path forms a joint-space matrix.  The independent
+  oracle is build_bichromatic_H, H(t) from the operators above (sharing
+  only coupling_f_grid and destroy with the engine), stepped by
+  propagate_timedep, a dense midpoint integrator using scipy's expm.
 
 * the same pair of beams tuned on the carrier (no sideband), giving the
   time-independent H = kron(C + C^dag, diag(|Omega| f_0)) with
@@ -59,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockspace import (
+    STRETCH_FREQ_RATIO,
     HilbertConfig,
     JointState,
     ModeParams,
@@ -243,11 +245,22 @@ def _drive_blocks(p: BichromaticParams, config: HilbertConfig):
 
 
 def build_bichromatic_H(t: float, p: BichromaticParams, config: HilbertConfig) -> np.ndarray:
-    """Instantaneous dense H(t) of the bichromatic drive (for checks and
-    the dense oracle propagate_timedep)."""
-    m1, m2, s = _drive_blocks(p, config)
-    h = m1 * np.exp(1j * p.delta * t) + m2 * np.exp(-1j * p.delta_prime * t)
-    return np.kron(h + h.conj().T, np.diag(s))
+    """Instantaneous dense H(t) of the bichromatic drive, the dense oracle's reference.
+
+    Formed from the drive's own operators, with no drive code shared with the
+    engine: W from single-ion raising operators, the c.m. ladder operator on
+    the two-mode space, and F_k diagonal with every cell f_k(n_c, n_r) read
+    from the grid (no stretch factor split off).
+    """
+    raise_one = np.array([[0.0, 0.0], [1.0, 0.0]])  # |u><d| of a single ion
+    w = np.exp(0.5j * p.phi0) * np.kron(raise_one, np.eye(2)) + np.exp(-0.5j * p.phi0) * np.kron(np.eye(2), raise_one)
+    a = np.kron(destroy(config.dim_c), np.eye(config.dim_r))
+    f = {k: np.diag(coupling_f_grid(config.n_max_c, config.n_max_r, k, p.modes).ravel()) for k in (p.k, p.k_prime)}
+    upper = (1j * p.modes.eta) ** p.k * np.linalg.matrix_power(a.T, p.k) @ f[p.k]
+    lower = (1j * p.modes.eta) ** p.k_prime * f[p.k_prime] @ np.linalg.matrix_power(a, p.k_prime)
+    vib = upper * np.exp(1j * p.delta * t) + lower * np.exp(-1j * p.delta_prime * t)
+    h = np.kron(p.omega * np.exp(1j * p.phi) * w, vib)
+    return h + h.conj().T
 
 
 def effective_factors(p: BichromaticParams, config: HilbertConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -508,7 +521,7 @@ def resonance_guard(p: BichromaticParams, config: HilbertConfig) -> list[str]:
         except ValueError:  # no finite dispersive rate
             tol = 10.0 * float(couple[0, 0])
         for m in range(1, 2 * p.k + 1):
-            miss = abs(p.k * nu - p.delta - m * math.sqrt(3.0) * nu)
+            miss = abs(p.k * nu - p.delta - m * STRETCH_FREQ_RATIO * nu)
             if miss < tol:
                 msgs.append(
                     f"k={p.k} drive sits within {miss:.3g} of the stretch "

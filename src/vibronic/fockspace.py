@@ -42,6 +42,7 @@ __all__ = [
     "displacement",
     "thermal_weights",
     "make_vib_state",
+    "make_vib_vector",
     "basis_state",
     "fidelity",
     "reduce_electronic",

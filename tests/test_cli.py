@@ -418,6 +418,37 @@ def test_bell_at_k0_is_config_error(tmp_path, capsys, mode, engine):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("engine", ["effective", "exact"])
+@pytest.mark.parametrize("mode", ["bell-phi", "bell-psi"])
+def test_bell_at_zero_drive_strength_is_config_error(tmp_path, capsys, mode, engine):
+    # Omega = 0 zeroes every dispersive rate, so no pulse time exists
+    text = _small(mode, 1, f"[bell]\nengine = {engine}\n").replace("omega = 0.02", "omega = 0")
+    out = tmp_path / "out"
+    assert main(["--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {mode} needs drive.omega != 0: the dispersive rate vanishes at zero drive strength\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("engine", ["effective", "exact"])
+def test_bell_psi_at_zero_carrier_strength_is_config_error(tmp_path, capsys, engine):
+    text = _small("bell-psi", 1, f"[bell]\nengine = {engine}\n[carrier]\nomega = 0\n")
+    out = tmp_path / "out"
+    assert main(["--config", _write(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: bell-psi needs carrier.omega > 0: the carrier pulse time is infinite at zero strength\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, omega", [("spectrum", "0.05"), ("evolve-effective", "0.02")])
+def test_zero_drive_strength_runs_outside_the_bell_modes(tmp_path, name, omega):
+    # only the Bell modes divide by the dispersive rate; a zero drive is a valid spectrum or evolution
+    text = ONE_PER_RUN_PATH[name]
+    assert f"\nomega = {omega}\n" in text
+    text = text.replace(f"\nomega = {omega}\n", "\nomega = 0\n")
+    assert main(["--config", _write(tmp_path, text), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+
 def _signed_bell_fidelity(tmp_path, mode, delta, sign, engine):
     key = "sign" if mode == "bell-phi" else "start_sign"
     text = (

